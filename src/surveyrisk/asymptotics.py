@@ -89,7 +89,7 @@ def risk_full_model(p: int, M: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# real-valued totals (the sample-size solver probes these)
+# the first- and second-order terms of each estimator's expansion
 # ---------------------------------------------------------------------------
 
 def _second_stage_sum(dq: DerivedQuantities, A: np.ndarray, weight: float) -> float:
@@ -144,15 +144,6 @@ def _resolve_A(dq: DerivedQuantities, A: Sequence[float] | None) -> np.ndarray:
     return arr
 
 
-def _total(kind, dq, n: float, n_star: float | None, A: np.ndarray) -> float:
-    if kind is EstimatorKind.PRESENT:
-        first, second = _present_terms(dq, n, A)
-    else:
-        assert n_star is not None
-        first, second = _TERMS[kind](dq, n, n_star, A)
-    return first + second
-
-
 def risk_app(
     kind: EstimatorKind,
     dq: DerivedQuantities,
@@ -163,7 +154,10 @@ def risk_app(
     """Evaluate one estimator's truncated risk expansion.
 
     ``A`` optionally overrides the per-group second-order coefficients,
-    for second-stage models other than the full one.
+    for second-stage models other than the full one.  For the prior
+    estimator, ``n_star=math.inf`` gives the limit of its risk as the prior
+    survey grows without bound: the within-group floor that no prior
+    survey can lower.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")

@@ -71,8 +71,9 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_model_text(text: str) -> TwoStageModel:
-    """Parse the model file grammar; raises ParseError with line numbers."""
+def _parse_named_model(text: str) -> tuple[str, TwoStageModel]:
+    """Parse the model file grammar into (name, model); raises ParseError
+    with line numbers."""
     lines = _content_lines(text)
     if len(lines) < 4:
         raise ParseError("model file needs a model line, a renormalize line "
@@ -113,10 +114,12 @@ def parse_model_text(text: str) -> TwoStageModel:
         labels.append(label)
         groups.append(cells)
 
-    model = build_model(groups, renormalize=renormalize, labels=labels)
-    # the name is carried in the file, not the model; keep it for dumps
-    object.__setattr__(model, "_file_name", name)
-    return model
+    return name, build_model(groups, renormalize=renormalize, labels=labels)
+
+
+def parse_model_text(text: str) -> TwoStageModel:
+    """Parse the model file grammar; raises ParseError with line numbers."""
+    return _parse_named_model(text)[1]
 
 
 def dump_model_text(model: TwoStageModel, name: str) -> str:
@@ -167,17 +170,23 @@ def parse_counts_text(text: str) -> SurveyCounts:
     return SurveyCounts(present=tuple(present), prior=prior)
 
 
-def load_model(path_or_name: str) -> TwoStageModel:
-    """Resolve a bundled model name, else read a model file."""
+def _load_named_model(path_or_name: str) -> tuple[str, TwoStageModel]:
+    """(name, model) for a bundled model name, else for a model file, whose
+    name is the one on its ``model`` line."""
     if path_or_name in BUNDLED_MODEL_NAMES:
-        return bundled_model(path_or_name)
+        return path_or_name, bundled_model(path_or_name)
     path = Path(path_or_name)
     if not path.is_file():
         raise ParseError(
             f"{path_or_name!r} is neither a bundled model name "
             f"({', '.join(BUNDLED_MODEL_NAMES)}) nor a readable file"
         )
-    return parse_model_text(path.read_text(encoding="utf-8"))
+    return _parse_named_model(path.read_text(encoding="utf-8"))
+
+
+def load_model(path_or_name: str) -> TwoStageModel:
+    """Resolve a bundled model name, else read a model file."""
+    return _load_named_model(path_or_name)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +266,33 @@ def _cmd_risk(args) -> int:
     return 0
 
 
+_RSS_HEADER = ["model", "kind", "method", "n0", "n0star", "seed",
+               "replications", "rss"]
+
+
+def _rss_row(model_name, model, kind, n0, n0_star, args):
+    """Solve one r.s.s. query with the method, seed, reps and threads in
+    ``args``; returns its CSV row."""
+    config = None
+    if args.method == "sim":
+        config = SimulationConfig(replications=args.reps, seed=args.seed)
+    query = RssQuery(kind=kind, n0=n0, n0_star=n0_star,
+                     method=args.method, config=config)
+    rss = required_sample_size(query, model, workers=args.threads)
+    return [model_name, kind.value, args.method, str(n0),
+            "" if n0_star is None else str(n0_star),
+            "" if config is None else str(config.seed),
+            "" if config is None else str(config.replications),
+            str(rss)]
+
+
 def _cmd_rss(args) -> int:
     model = load_model(args.model)
     kind = RssKind(args.kind)
     if kind is RssKind.PRESENT_TO_POOLED and args.n0star is None:
         raise _UsageError("--kind present-vs-pooled needs --n0star")
-    config = None
-    if args.method == "sim":
-        config = SimulationConfig(replications=args.reps, seed=args.seed)
-    query = RssQuery(kind=kind, n0=args.n0, n0_star=args.n0star,
-                     method=args.method, config=config)
-    rss = required_sample_size(query, model, workers=args.threads)
-    header = ["model", "kind", "method", "n0", "n0star", "seed",
-              "replications", "rss"]
-    row = [args.model, args.kind, args.method, str(args.n0),
-           "" if args.n0star is None else str(args.n0star),
-           "" if config is None else str(config.seed),
-           "" if config is None else str(config.replications),
-           str(rss)]
-    _write_rows([header, row])
+    _write_rows([_RSS_HEADER,
+                 _rss_row(args.model, model, kind, args.n0, args.n0star, args)])
     return 0
 
 
@@ -350,21 +367,10 @@ def _cmd_reproduce(args) -> int:
     else:
         kind = (RssKind.PRIOR_TO_PRESENT if args.table == "rss-prior"
                 else RssKind.PRESENT_TO_POOLED)
-        config = None
-        if args.method == "sim":
-            config = SimulationConfig(replications=args.reps, seed=args.seed)
-        rows.append(["model", "kind", "method", "n0", "n0star", "seed",
-                     "replications", "rss"])
+        rows.append(_RSS_HEADER)
         for n0 in _RSS_GRIDS[args.example]:
             n0_star = n0 if kind is RssKind.PRESENT_TO_POOLED else None
-            query = RssQuery(kind=kind, n0=n0, n0_star=n0_star,
-                             method=args.method, config=config)
-            rss = required_sample_size(query, model, workers=args.threads)
-            rows.append([model_name, kind.value, args.method, str(n0),
-                         "" if n0_star is None else str(n0_star),
-                         "" if config is None else str(config.seed),
-                         "" if config is None else str(config.replications),
-                         str(rss)])
+            rows.append(_rss_row(model_name, model, kind, n0, n0_star, args))
     _write_rows(rows)
     return 0
 
@@ -469,10 +475,8 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         if getattr(args, "dump_model", None):
-            model = load_model(args.model)
-            text = dump_model_text(
-                model, getattr(model, "_file_name", args.model)
-            )
+            name, model = _load_named_model(args.model)
+            text = dump_model_text(model, name)
             if args.dump_model == "-":
                 sys.stdout.write(text)
             else:

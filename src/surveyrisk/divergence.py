@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .errors import DomainError, NotNormalized, ShapeError, ZeroTruth
-from .model import NORMALIZATION_TOL, TwoStageModel
+from .model import NORMALIZATION_TOL, TwoStageModel, derive
 
 __all__ = [
     "ProbabilityEstimate",
@@ -107,18 +107,16 @@ def chain_rule(estimate: ProbabilityEstimate, model: TwoStageModel) -> ChainRule
             f"estimate layout {estimate.group_sizes} does not match model "
             f"layout {model.group_sizes}"
         )
-    truth_marginals = np.array([float(np.sum(c)) for c in model.cells])
+    dq = derive(model)
     est_marginals = estimate.group_marginals()
-    first = kl_divergence(est_marginals, truth_marginals)
+    first = kl_divergence(est_marginals, dq.marginals)
 
     per_group: list[tuple[float, float]] = []
-    for w, e_cells, m_cells, m_i in zip(
-        est_marginals, estimate.cells, model.cells, truth_marginals
-    ):
+    for w, e_cells, p_i in zip(est_marginals, estimate.cells, dq.conditionals):
         if w <= 0.0:
             per_group.append((0.0, 0.0))
             continue
-        kl = max(float(np.sum(rel_entr(e_cells / w, m_cells / m_i))), 0.0)
+        kl = max(float(np.sum(rel_entr(e_cells / w, p_i))), 0.0)
         per_group.append((float(w), kl))
 
     total = first

@@ -33,6 +33,7 @@ are marked read-only, so they can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,6 +119,20 @@ class DerivedQuantities:
     A: np.ndarray
 
 
+def _count(x: object, survey: str, group: int) -> int:
+    """``x`` as a Python int if it is a nonnegative integer, else DomainError."""
+    try:
+        value = None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise DomainError(
+            f"{survey} counts must be nonnegative integers; "
+            f"group {group} holds {x!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class SurveyCounts:
     """Observed counts: per-cell from the present survey, per-group from the
@@ -125,8 +140,10 @@ class SurveyCounts:
 
     Invariants checked at construction: nonnegative integers everywhere,
     and when prior counts exist their length matches the number of present
-    groups.  Shape agreement with a particular model is checked where the
-    two meet (divergence, advice), not here.
+    groups.  Any integer type (numpy's included, ``bool`` excluded) is
+    accepted and stored as a Python ``int``.  Shape agreement with a
+    particular model is checked where the two meet (divergence, advice),
+    not here.
     """
 
     present: tuple[tuple[int, ...], ...]
@@ -135,25 +152,20 @@ class SurveyCounts:
     def __post_init__(self) -> None:
         if len(self.present) == 0:
             raise ShapeError("present counts need at least one group")
-        for i, row in enumerate(self.present):
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    raise DomainError(
-                        f"present counts must be nonnegative integers; "
-                        f"group {i} contains {x!r}"
-                    )
-        if self.prior is not None:
-            if len(self.prior) != len(self.present):
+        present = tuple(
+            tuple(_count(x, "present", i) for x in row)
+            for i, row in enumerate(self.present)
+        )
+        prior = self.prior
+        if prior is not None:
+            if len(prior) != len(present):
                 raise ShapeError(
-                    f"prior counts cover {len(self.prior)} groups, present "
-                    f"counts cover {len(self.present)}"
+                    f"prior counts cover {len(prior)} groups, present "
+                    f"counts cover {len(present)}"
                 )
-            for i, x in enumerate(self.prior):
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    raise DomainError(
-                        f"prior counts must be nonnegative integers; "
-                        f"group {i} holds {x!r}"
-                    )
+            prior = tuple(_count(x, "prior", i) for i, x in enumerate(prior))
+        # the instance is frozen; normalize its fields before anyone sees it
+        vars(self).update(present=present, prior=prior)
 
     @property
     def group_totals(self) -> tuple[int, ...]:

@@ -2,12 +2,16 @@
 
 Sampling model.  One replication draws a present survey of size n from
 the cell probabilities and, when needed, a prior survey of size n* from
-the group marginals.  Present draws are conditioned on every group total
+the group marginals.  The engine takes the marginals and within-group
+conditionals from :func:`surveyrisk.model.derive`, the same values the
+risk expansions use.  Present draws are conditioned on every group total
 being nonzero (otherwise the within-group conditionals are undefined):
 a draw with an empty group is discarded and redrawn whole, never
-renormalized.  Prior draws are unconditioned; a zero prior group count is
-fine because the corresponding estimate contributes zero loss under the
-0 log 0 convention.
+renormalized.  Below n = I (the number of groups) every present draw
+is discarded, so such a run is refused before drawing.  Prior draws are
+unconditioned; a zero prior group count is fine because the
+corresponding estimate contributes zero loss under the 0 log 0
+convention.
 
 Reproducibility contract.  Replications are partitioned into fixed blocks
 of ``BLOCK_SIZE``.  Block b uses its own counter-based Philox generator
@@ -52,7 +56,7 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .estimators import EstimatorKind
-from .model import SurveyCounts, TwoStageModel
+from .model import DerivedQuantities, SurveyCounts, TwoStageModel, derive
 
 __all__ = [
     "BLOCK_SIZE",
@@ -102,25 +106,24 @@ class RiskEstimate:
     n_star: int | None
 
 
-class _ModelArrays:
-    """Read-only numpy views of a model, shared by all worker threads."""
-
-    def __init__(self, model: TwoStageModel) -> None:
-        self.marginals = np.array([float(np.sum(c)) for c in model.cells])
-        self.conditionals = [c / m for c, m in zip(model.cells, self.marginals)]
-        self.sizes = np.array(model.group_sizes, dtype=np.int64)
-        self.truth = model.flat()
-        self.n_groups = len(model.cells)
-
-
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_present_size(n: int, model: TwoStageModel) -> None:
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+    if n < model.n_groups:
+        raise RejectionBudgetExceeded(
+            f"n={n} is below the number of groups ({model.n_groups}), so "
+            f"every present draw leaves some group empty"
+        )
+
+
 def _draw_present(
     gen: np.random.Generator,
-    ma: _ModelArrays,
+    dq: DerivedQuantities,
     n: int,
     rows: int,
     max_rejections: int,
@@ -129,7 +132,7 @@ def _draw_present(
 
     Returns (totals, cells, discarded).
     """
-    totals = gen.multinomial(n, ma.marginals, size=rows).astype(np.int64)
+    totals = gen.multinomial(n, dq.marginals, size=rows).astype(np.int64)
     rejections = np.zeros(rows, dtype=np.int64)
     discarded = 0
     while True:
@@ -144,46 +147,46 @@ def _draw_present(
                 f"at n={n}; some group is almost never observed at this size"
             )
         discarded += int(bad.size)
-        totals[bad] = gen.multinomial(n, ma.marginals, size=bad.size)
+        totals[bad] = gen.multinomial(n, dq.marginals, size=bad.size)
 
-    cells = np.empty((rows, int(ma.sizes.sum())), dtype=np.int64)
+    cells = np.empty((rows, dq.p_total + 1), dtype=np.int64)
     start = 0
-    for gi in range(ma.n_groups):
-        stop = start + int(ma.sizes[gi])
-        cells[:, start:stop] = gen.multinomial(
-            totals[:, gi], ma.conditionals[gi]
-        )
+    for gi, conditionals in enumerate(dq.conditionals):
+        stop = start + conditionals.size
+        cells[:, start:stop] = gen.multinomial(totals[:, gi], conditionals)
         start = stop
     return totals, cells, discarded
 
 
 def _draw_prior(
-    gen: np.random.Generator, ma: _ModelArrays, n_star: int, rows: int
+    gen: np.random.Generator, marginals: np.ndarray, n_star: int, rows: int
 ) -> np.ndarray:
     """Multinomial(n*, marginals) per row via a chained binomial inverse CDF.
 
     One uniform per (row, group) keeps draws comonotone across n*.
     """
-    I = ma.n_groups
+    I = marginals.size
     u = gen.random((rows, I - 1))
     out = np.empty((rows, I), dtype=np.int64)
     remaining = np.full(rows, n_star, dtype=np.int64)
     prob_left = 1.0
     for i in range(I - 1):
-        q = min(max(float(ma.marginals[i]) / prob_left, 0.0), 1.0)
+        q = min(max(float(marginals[i]) / prob_left, 0.0), 1.0)
         draw = binom.ppf(u[:, i], remaining, q)
         # ppf(0) of a discrete distribution is -1 by convention; clip it
         draw = np.maximum(draw, 0.0).astype(np.int64)
         out[:, i] = draw
         remaining -= draw
-        prob_left -= float(ma.marginals[i])
+        prob_left -= float(marginals[i])
     out[:, I - 1] = remaining
     return out
 
 
 def _block_losses(
     kind: EstimatorKind,
-    ma: _ModelArrays,
+    dq: DerivedQuantities,
+    truth: np.ndarray,
+    sizes: tuple[int, ...],
     n: int,
     n_star: int | None,
     seed: int,
@@ -192,21 +195,21 @@ def _block_losses(
     max_rejections: int,
 ) -> tuple[np.ndarray, int]:
     gen = _block_generator(seed, block_index)
-    totals, cells, discarded = _draw_present(gen, ma, n, rows, max_rejections)
-    totals_rep = np.repeat(totals, ma.sizes, axis=1)
+    totals, cells, discarded = _draw_present(gen, dq, n, rows, max_rejections)
+    totals_rep = np.repeat(totals, sizes, axis=1)
 
     if kind is EstimatorKind.PRESENT:
         est = cells / float(n)
     else:
         assert n_star is not None
-        xstar = _draw_prior(gen, ma, n_star, rows)
-        xstar_rep = np.repeat(xstar, ma.sizes, axis=1)
+        xstar = _draw_prior(gen, dq.marginals, n_star, rows)
+        xstar_rep = np.repeat(xstar, sizes, axis=1)
         if kind is EstimatorKind.PRIOR:
             est = (xstar_rep * cells) / (n_star * totals_rep)
         else:  # POOLED
             est = ((totals_rep + xstar_rep) * cells) / ((n + n_star) * totals_rep)
 
-    return np.sum(rel_entr(est, ma.truth), axis=1), discarded
+    return np.sum(rel_entr(est, truth), axis=1), discarded
 
 
 def simulate_risk(
@@ -221,10 +224,10 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value.  ``n_star`` is ignored for the
-    present estimator.
+    present estimator.  A present size below the number of groups raises
+    RejectionBudgetExceeded at once, since no draw could be accepted.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_present_size(n, model)
     if kind is EstimatorKind.PRESENT:
         n_star = None
     else:
@@ -235,7 +238,9 @@ def simulate_risk(
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
-    ma = _ModelArrays(model)
+    dq = derive(model)
+    truth = model.flat()
+    sizes = model.group_sizes
     reps = config.replications
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -245,7 +250,7 @@ def simulate_risk(
         start = b * BLOCK_SIZE
         rows = min(BLOCK_SIZE, reps - start)
         block, discarded = _block_losses(
-            kind, ma, n, n_star, config.seed, b, rows,
+            kind, dq, truth, sizes, n, n_star, config.seed, b, rows,
             config.max_rejections_per_rep,
         )
         losses[start:start + rows] = block
@@ -283,24 +288,22 @@ def sample_surveys(
     """Draw one pair of surveys; returns (counts, number of discarded draws).
 
     The present draw is rejected and redrawn until every group total is
-    nonzero; the prior draw (omitted when ``n_star`` is 0) is a single
-    unconditioned multinomial over the group marginals.
+    nonzero; the prior draw (omitted when ``n_star`` is 0) is an
+    unconditioned multinomial over the group marginals, drawn by the
+    engine's own prior sampler.  As in :func:`simulate_risk`, n below the
+    number of groups raises RejectionBudgetExceeded before drawing.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_present_size(n, model)
     if n_star < 0:
         raise DomainError(f"n_star must be >= 0, got {n_star}")
-    ma = _ModelArrays(model)
-    _, cells, discarded = _draw_present(rng, ma, n, 1, max_rejections)
-    present = []
-    start = 0
-    for size in model.group_sizes:
-        present.append(tuple(int(x) for x in cells[0, start:start + size]))
-        start += size
+    dq = derive(model)
+    _, cells, discarded = _draw_present(rng, dq, n, 1, max_rejections)
+    bounds = np.cumsum(model.group_sizes)[:-1]
+    present = tuple(tuple(row) for row in np.split(cells[0], bounds))
     prior = None
     if n_star > 0:
-        prior = tuple(int(x) for x in rng.multinomial(n_star, ma.marginals))
-    return SurveyCounts(present=tuple(present), prior=prior), discarded
+        prior = tuple(_draw_prior(rng, dq.marginals, n_star, 1)[0])
+    return SurveyCounts(present=present, prior=prior), discarded
 
 
 def discard_probability(model: TwoStageModel, n: int) -> float:
@@ -312,7 +315,7 @@ def discard_probability(model: TwoStageModel, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    marginals = [float(np.sum(c)) for c in model.cells]
+    marginals = derive(model).marginals.tolist()
     I = len(marginals)
     if I > 20:
         raise DomainError(

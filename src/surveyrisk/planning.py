@@ -49,11 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .asymptotics import (
-    _prior_terms,
-    _total,
-    gap_present_pooled_first_stage,
-)
+from .asymptotics import gap_present_pooled_first_stage, risk_app
 from .errors import (
     DomainError,
     MissingPriorCounts,
@@ -63,7 +59,7 @@ from .errors import (
     ZeroGroupCount,
 )
 from .estimators import EstimatorKind
-from .model import DerivedQuantities, SurveyCounts, TwoStageModel, derive
+from .model import SurveyCounts, TwoStageModel, derive
 from .montecarlo import SimulationConfig, simulate_risk
 
 __all__ = [
@@ -168,12 +164,6 @@ def _least_satisfying(
     return hi
 
 
-def _prior_limit(dq: DerivedQuantities, n0: int) -> float:
-    """Risk of the prior estimator as n* grows without bound."""
-    first, second = _prior_terms(dq, float(n0), float("inf"), dq.A)
-    return first + second
-
-
 def required_sample_size(
     query: RssQuery, model: TwoStageModel, workers: int = 1
 ) -> int:
@@ -185,66 +175,39 @@ def required_sample_size(
     """
     dq = derive(model)
     n0 = query.n0
+    if query.method == "app":
+        def risk(kind: EstimatorKind, n: int, n_star: int | None = None) -> float:
+            return risk_app(kind, dq, n, n_star).total
+    else:
+        def risk(kind: EstimatorKind, n: int, n_star: int | None = None) -> float:
+            return simulate_risk(
+                kind, model, n, n_star, query.config, workers
+            ).mean_loss
+    cap_error: Exception = SimulationNoise(
+        "could not bracket the target at the configured replication "
+        "count; increase replications"
+    )
 
     if query.kind is RssKind.PRIOR_TO_PRESENT:
-        target_app = _total(EstimatorKind.PRESENT, dq, float(n0), None, dq.A)
-        if _prior_limit(dq, n0) >= target_app:
+        target_app = risk_app(EstimatorKind.PRESENT, dq, n0).total
+        if risk_app(EstimatorKind.PRIOR, dq, n0, math.inf).total >= target_app:
             raise Unattainable(
                 f"the prior estimator cannot reach the present estimator's "
                 f"risk at n0={n0} for any prior size; the within-group risk "
                 f"floor is too high"
             )
         if query.method == "app":
-            def f(ns: int) -> float:
-                return _total(EstimatorKind.PRIOR, dq, float(n0), float(ns), dq.A) - target_app
-        else:
-            config = query.config
-            assert config is not None
-            target_sim = simulate_risk(
-                EstimatorKind.PRESENT, model, n0, None, config, workers
-            ).mean_loss
+            cap_error = Unattainable("bracketing exhausted; target out of reach")
+        target = risk(EstimatorKind.PRESENT, n0)
 
-            def f(ns: int) -> float:
-                return simulate_risk(
-                    EstimatorKind.PRIOR, model, n0, ns, config, workers
-                ).mean_loss - target_sim
-        cap_error: Exception = (
-            Unattainable("bracketing exhausted; target out of reach")
-            if query.method == "app"
-            else SimulationNoise(
-                "could not bracket the target at the configured replication "
-                "count; increase replications"
-            )
-        )
-        return _least_satisfying(f, n0, cap_error)
-
-    # present-vs-pooled: always attainable (present risk falls to 0)
-    n0_star = query.n0_star
-    assert n0_star is not None
-    if query.method == "app":
-        target = _total(EstimatorKind.POOLED, dq, float(n0), float(n0_star), dq.A)
+        def f(ns: int) -> float:
+            return risk(EstimatorKind.PRIOR, n0, ns) - target
+    else:  # present-vs-pooled: always attainable (present risk falls to 0)
+        target = risk(EstimatorKind.POOLED, n0, query.n0_star)
 
         def f(n: int) -> float:
-            return _total(EstimatorKind.PRESENT, dq, float(n), None, dq.A) - target
-    else:
-        config = query.config
-        assert config is not None
-        target = simulate_risk(
-            EstimatorKind.POOLED, model, n0, n0_star, config, workers
-        ).mean_loss
-
-        def f(n: int) -> float:
-            return simulate_risk(
-                EstimatorKind.PRESENT, model, n, None, config, workers
-            ).mean_loss - target
-    return _least_satisfying(
-        f,
-        n0,
-        SimulationNoise(
-            "could not bracket the target at the configured replication "
-            "count; increase replications"
-        ),
-    )
+            return risk(EstimatorKind.PRESENT, n) - target
+    return _least_satisfying(f, n0, cap_error)
 
 
 # ---------------------------------------------------------------------------

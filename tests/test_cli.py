@@ -223,3 +223,14 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["risk", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_dump_model_keeps_the_name_from_the_model_file(tmp_path, capsys):
+    path = tmp_path / "shop.model"
+    path.write_text(MODEL_TEXT.replace("model toy", "model coffee-shop"),
+                    encoding="utf-8")
+    code = run(["risk", "--model", str(path), "--estimator", "present",
+                "--method", "app", "--n", "10", "--dump-model", "-"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "model coffee-shop"

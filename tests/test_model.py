@@ -17,6 +17,7 @@ from surveyrisk import (
     bundled_model,
     derive,
 )
+from surveyrisk import EstimatorKind, estimate
 
 
 def test_build_model_accepts_normalized_cells():
@@ -126,3 +127,23 @@ def test_survey_counts_without_prior():
     c = SurveyCounts(present=((1, 0), (0, 4)))
     assert c.prior is None
     assert c.n_star is None
+
+
+def test_survey_counts_accept_numpy_integers():
+    plain = SurveyCounts(present=((3, 2), (1, 1)), prior=(4, 6))
+    mixed = SurveyCounts(present=((np.int64(3), 2), (1, np.uint8(1))),
+                         prior=(np.int32(4), 6))
+    assert mixed == plain
+    assert all(type(x) is int for row in mixed.present for x in row)
+    assert all(type(x) is int for x in mixed.prior)
+    for kind in EstimatorKind:
+        got = estimate(kind, mixed).flat()
+        want = estimate(kind, plain).flat()
+        assert got.tobytes() == want.tobytes()
+
+    with pytest.raises(DomainError):
+        SurveyCounts(present=((True, 2), (1, 1)))
+    with pytest.raises(DomainError):
+        SurveyCounts(present=((np.float64(3.0), 2), (1, 1)))
+    with pytest.raises(DomainError):
+        SurveyCounts(present=((3, 2), (1, 1)), prior=(np.int64(-1), 6))

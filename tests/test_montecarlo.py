@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,3 +178,16 @@ def test_discard_rate_decays_exponentially():
     q200 = discard_probability(BREAST_CANCER, 200)
     q400 = discard_probability(BREAST_CANCER, 400)
     assert q400 < q200 ** 2 * BREAST_CANCER.n_groups
+
+
+def test_present_size_below_group_count_fails_fast():
+    """At n < I every present draw leaves a group empty, so the engine
+    refuses the run up front instead of exhausting its rejection budget."""
+    n = BREAST_CANCER.n_groups - 2
+    cfg = SimulationConfig(replications=20_000, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(RejectionBudgetExceeded, match="below the number of groups"):
+        simulate_risk(EstimatorKind.PRESENT, BREAST_CANCER, n, None, cfg)
+    with pytest.raises(RejectionBudgetExceeded, match="below the number of groups"):
+        sample_surveys(BREAST_CANCER, n, 100, np.random.default_rng(0))
+    assert time.perf_counter() - start < 0.5
