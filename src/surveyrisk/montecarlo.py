@@ -23,7 +23,11 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      order, until all rows pass or a row exhausts its rejection budget;
   3. second-stage cells: per group, multinomial(group total, conditionals);
   4. prior counts: a (rows, I-1) uniform array, then a chained binomial
-     inverse-CDF per group.
+     inverse-CDF per group.  The counts are exactly the integers
+     ``scipy.stats.binom.ppf`` returns, reached through a checked guess:
+     a skew-corrected normal quantile, accepted where one CDF pass over
+     the distinct (trials, count) points brackets the uniform, and
+     ``binom.ppf`` itself for the few rows it does not.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -42,12 +46,13 @@ at disjoint indices.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import rel_entr
+from scipy.special import ndtri, rel_entr
 from scipy.stats import binom
 
 from .errors import (
@@ -111,14 +116,29 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_present_size(n: int, model: TwoStageModel) -> None:
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+def _size(x: object, name: str, least: int = 1) -> int:
+    """``x`` as a Python int if it is an integer >= ``least``, else DomainError.
+
+    Fractional sizes are refused rather than truncated, and so is
+    ``bool``; numpy integers are accepted.
+    """
+    try:
+        value = None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        value = None
+    if value is None or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {x!r}")
+    return value
+
+
+def _check_present_size(n: object, model: TwoStageModel) -> int:
+    n = _size(n, "n")
     if n < model.n_groups:
         raise RejectionBudgetExceeded(
             f"n={n} is below the number of groups ({model.n_groups}), so "
             f"every present draw leaves some group empty"
         )
+    return n
 
 
 def _draw_present(
@@ -158,26 +178,69 @@ def _draw_present(
     return totals, cells, discarded
 
 
+#: rows whose uniform lies within this relative distance of a CDF value
+#: at the guessed count go to ``binom.ppf``, whose own comparisons may
+#: round the other way there
+_TIE_RTOL = 1e-12
+
+#: bound on the normal quantile in the guess, so that u = 0 (ndtri = -inf)
+#: and a zero standard deviation give a finite guess; the check corrects it
+_Z_CLAMP = 40.0
+
+
+def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
+    """``np.maximum(binom.ppf(u, r, q), 0)`` as int64, for int64 trial
+    counts r and one probability q.
+
+    A skew-corrected (Cornish-Fisher) normal quantile guesses each count
+    k; the guess stands where cdf(k - 1) < u <= cdf(k), with u clear of
+    both values by ``_TIE_RTOL``.  The CDF is evaluated once per distinct
+    (trials, count) point, which is far fewer points than rows.  Rows the
+    check does not settle are passed to ``binom.ppf``.
+    """
+    # a CDF point (r, c) is keyed as r * width + c + 1, for the counts
+    # c = k - 1 and c = k; past about 3e9 trials the key overflows int64
+    width = int(r.max(initial=0)) + 2
+    if width * width > np.iinfo(np.int64).max:
+        return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
+
+    mean = r * q
+    sd = np.sqrt(mean * (1.0 - q))
+    z = np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)
+    guess = np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
+    k = np.clip(guess, 0, r).astype(np.int64)
+
+    keys = np.concatenate((r * width + k, r * width + k + 1))
+    points, where = np.unique(keys, return_inverse=True)
+    cdf = binom.cdf(points % width - 1, points // width, q)[where]
+    below, at = cdf[:u.size], cdf[u.size:]
+    settled = (below < u * (1.0 - _TIE_RTOL)) & (u * (1.0 + _TIE_RTOL) < at)
+
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        k[rest] = np.maximum(binom.ppf(u[rest], r[rest], q), 0.0)
+    return k
+
+
 def _draw_prior(
     gen: np.random.Generator, marginals: np.ndarray, n_star: int, rows: int
 ) -> np.ndarray:
     """Multinomial(n*, marginals) per row via a chained binomial inverse CDF.
 
-    One uniform per (row, group) keeps draws comonotone across n*.
+    One uniform per (row, group) keeps draws comonotone across n*.  Group
+    i is drawn from what is left with probability m_i over the tail sum
+    m_i + ... + m_I, computed once per group rather than by subtraction.
     """
     I = marginals.size
     u = gen.random((rows, I - 1))
     out = np.empty((rows, I), dtype=np.int64)
     remaining = np.full(rows, n_star, dtype=np.int64)
-    prob_left = 1.0
+    values = marginals.tolist()
     for i in range(I - 1):
-        q = min(max(float(marginals[i]) / prob_left, 0.0), 1.0)
-        draw = binom.ppf(u[:, i], remaining, q)
-        # ppf(0) of a discrete distribution is -1 by convention; clip it
-        draw = np.maximum(draw, 0.0).astype(np.int64)
+        q = values[i] / math.fsum(values[i:])
+        draw = _binom_inverse(u[:, i], remaining, q)
         out[:, i] = draw
         remaining -= draw
-        prob_left -= float(marginals[i])
     out[:, I - 1] = remaining
     return out
 
@@ -224,17 +287,18 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value.  ``n_star`` is ignored for the
-    present estimator.  A present size below the number of groups raises
-    RejectionBudgetExceeded at once, since no draw could be accepted.
+    present estimator.  Sizes must be integers (numpy integers work; a
+    fractional size or a bool raises DomainError).  A present size below
+    the number of groups raises RejectionBudgetExceeded at once, since no
+    draw could be accepted.
     """
-    _check_present_size(n, model)
+    n = _check_present_size(n, model)
     if kind is EstimatorKind.PRESENT:
         n_star = None
     else:
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-        if n_star < 1:
-            raise DomainError(f"n_star must be a positive integer, got {n_star}")
+        n_star = _size(n_star, "n_star")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
@@ -290,12 +354,12 @@ def sample_surveys(
     The present draw is rejected and redrawn until every group total is
     nonzero; the prior draw (omitted when ``n_star`` is 0) is an
     unconditioned multinomial over the group marginals, drawn by the
-    engine's own prior sampler.  As in :func:`simulate_risk`, n below the
-    number of groups raises RejectionBudgetExceeded before drawing.
+    engine's own prior sampler.  As in :func:`simulate_risk`, a size that
+    is not an integer raises DomainError and n below the number of groups
+    raises RejectionBudgetExceeded, both before drawing.
     """
-    _check_present_size(n, model)
-    if n_star < 0:
-        raise DomainError(f"n_star must be >= 0, got {n_star}")
+    n = _check_present_size(n, model)
+    n_star = _size(n_star, "n_star", least=0)
     dq = derive(model)
     _, cells, discarded = _draw_present(rng, dq, n, 1, max_rejections)
     bounds = np.cumsum(model.group_sizes)[:-1]
@@ -313,8 +377,7 @@ def discard_probability(model: TwoStageModel, n: int) -> float:
     This is the expected discard rate of :func:`simulate_risk` and decays
     exponentially in n, with rate set by the largest (1 - m_i.).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = _size(n, "n")
     marginals = derive(model).marginals.tolist()
     I = len(marginals)
     if I > 20:

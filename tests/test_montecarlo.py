@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from surveyrisk import (
     BLOCK_SIZE,
@@ -24,6 +26,7 @@ from surveyrisk import (
     sample_surveys,
     simulate_risk,
 )
+from surveyrisk.montecarlo import _binom_inverse
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
 BREAST_CANCER = bundled_model("example2-breast-cancer")
@@ -191,3 +194,80 @@ def test_present_size_below_group_count_fails_fast():
     with pytest.raises(RejectionBudgetExceeded, match="below the number of groups"):
         sample_surveys(BREAST_CANCER, n, 100, np.random.default_rng(0))
     assert time.perf_counter() - start < 0.5
+
+
+def _inverse_grid():
+    """(u, r, q) rows for the inverse-CDF cross-check.
+
+    Seeded uniforms and trial counts, plus the edges: u = 0, u below
+    1e-300, u a few ulps under 1 (where the floating CDF is flat), u
+    within two ulps of a CDF value, r = 0 and r = 1, r above 3e9, and q
+    within 1e-6 of 0 and of 1.
+
+    Uniforms below 1e-300 are paired with small r only: where cdf(0)
+    underflows below u, ``binom.ppf`` itself warns that it cannot
+    bracket the root.  The engine's uniforms are multiples of 2**-53, so
+    it never asks for such a point.
+    """
+    rng = np.random.default_rng(20190415)
+    tiny = [0.0, 5e-324, 1e-310, 1e-301]
+    top = [1.0 - j * 2.0**-53 for j in range(1, 17)]
+    for q in (1e-6, 0.013, 0.25, 0.5, 0.61803, 0.97, 1.0 - 1e-6):
+        r = rng.integers(0, 3_001, size=2_000)
+        r[:50] = rng.integers(0, 2, size=50)
+        u = rng.random(r.size)
+        u[50:50 + len(top)] = top
+        # within two ulps of cdf(k), where the floating CDF and the root
+        # finder inside binom.ppf can round the comparison differently
+        ties = np.arange(100, 600)
+        rt = r[ties]
+        k = np.round(rt * q + rng.normal(0.0, 2.0, ties.size)
+                     * np.sqrt(rt * q * (1.0 - q)))
+        c = binom.cdf(np.clip(k, 0, rt), rt, q)
+        u[ties] = np.clip(c + rng.integers(-2, 3, ties.size) * np.spacing(c),
+                          0.0, 1.0)
+        yield u, r, q
+        small = np.repeat(np.array([0, 1, 2, 5, 30], dtype=np.int64), len(tiny))
+        yield np.tile(tiny, 5), small, q
+        # trial counts too large for the (trials, count) key
+        huge = np.array([3_037_000_498, 4 * 10**9, 10**12], dtype=np.int64)
+        yield rng.random(30), np.repeat(huge, 10), q
+
+
+def test_binom_inverse_matches_binom_ppf_exactly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, r, q in _inverse_grid():
+            got = _binom_inverse(u, r.astype(np.int64), q)
+            want = np.maximum(binom.ppf(u, r, q), 0.0)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (q, np.flatnonzero(got != want))
+
+
+@pytest.mark.parametrize("bad", [200.5, 600.7, True, "60", 0, -3])
+def test_fractional_or_bool_sizes_are_refused(bad):
+    """A fractional size would be truncated somewhere inside the draw and
+    give a wrong number instead of an error, so every size is checked up
+    front; ``bool`` is refused although it is an int."""
+    cfg = SimulationConfig(replications=16)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, bad, 600, cfg)
+    with pytest.raises(DomainError):
+        simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 200, bad, cfg)
+    with pytest.raises(DomainError):
+        sample_surveys(BREAST_CANCER, bad, 100, rng)
+    with pytest.raises(DomainError):
+        discard_probability(BREAST_CANCER, bad)
+    if bad != 0:
+        with pytest.raises(DomainError):
+            sample_surveys(BREAST_CANCER, 200, bad, rng)
+
+
+def test_numpy_integer_sizes_match_python_ints():
+    cfg = SimulationConfig(replications=300, seed=4)
+    want = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg)
+    got = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, np.int32(60),
+                        np.uint16(300), cfg)
+    assert got == want
+    assert type(got.n) is int and type(got.n_star) is int
