@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, MissingNStar
 from .estimators import EstimatorKind
-from .model import DerivedQuantities
+from .model import DerivedQuantities, as_int
 
 __all__ = [
     "RiskApproximation",
@@ -78,8 +78,7 @@ class RiskApproximation:
 
 def risk_full_model(p: int, M: float, n: int) -> float:
     """Truncated MLE risk of a flat (one-stage) multinomial model."""
-    if p < 1 or n < 1:
-        raise DomainError(f"p and n must be positive integers, got p={p}, n={n}")
+    p, n = as_int(p, "p"), as_int(n, "n")
     bound = float(p + 1) ** 2
     if M < bound * (1.0 - 1e-12):
         raise DomainError(
@@ -157,28 +156,26 @@ def risk_app(
     for second-stage models other than the full one.  For the prior
     estimator, ``n_star=math.inf`` gives the limit of its risk as the prior
     survey grows without bound: the within-group floor that no prior
-    survey can lower.
+    survey can lower.  Otherwise sizes are integers >= 1 (numpy's work).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = as_int(n, "n")
     coeffs = _resolve_A(dq, A)
     if kind is EstimatorKind.PRESENT:
         first, second = _present_terms(dq, float(n), coeffs)
-        ns = None
+        n_star = None
     else:
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-        if n_star < 1:
-            raise DomainError(f"n_star must be a positive integer, got {n_star}")
+        if not (kind is EstimatorKind.PRIOR and n_star == math.inf):
+            n_star = as_int(n_star, "n_star")
         first, second = _TERMS[kind](dq, float(n), float(n_star), coeffs)
-        ns = n_star
     return RiskApproximation(
         first_order=first,
         second_order=second,
         total=first + second,
         kind=kind,
         n=n,
-        n_star=ns,
+        n_star=n_star,
     )
 
 
@@ -195,8 +192,7 @@ def risk_app_closed_form(
     an independent cross-check: the package asserts agreement to 1e-12 on
     every build.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = as_int(n, "n")
     I = dq.marginals.size
     p = dq.p_total
     M, M_f = dq.M, dq.M_f
@@ -204,8 +200,7 @@ def risk_app_closed_form(
         return p / (2.0 * n) + (M - 1.0) / (12.0 * n * n)
     if n_star is None:
         raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-    if n_star < 1:
-        raise DomainError(f"n_star must be a positive integer, got {n_star}")
+    n_star = as_int(n_star, "n_star")
     J = dq.s + 1
     if kind is EstimatorKind.PRIOR:
         tail = M + math.fsum(
@@ -244,18 +239,11 @@ def _weighted_dimension_sum(s, marginals) -> float:
     )
 
 
-def _check_sizes(n: int, n_star: int) -> None:
-    if n < 1 or n_star < 1:
-        raise DomainError(
-            f"sample sizes must be positive integers, got n={n}, n_star={n_star}"
-        )
-
-
 def gap_present_prior_first_stage(
     s: Sequence[int], marginals: Sequence[float], M_f: float, n: int, n_star: int
 ) -> float:
     """risk(present) - risk(prior) from first-stage quantities only."""
-    _check_sizes(n, n_star)
+    n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     c = _weighted_dimension_sum(s, marginals)
     I = len(marginals)
     return (
@@ -269,7 +257,7 @@ def gap_present_pooled_first_stage(
     s: Sequence[int], marginals: Sequence[float], M_f: float, n: int, n_star: int
 ) -> float:
     """risk(present) - risk(pooled) from first-stage quantities only."""
-    _check_sizes(n, n_star)
+    n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     c = _weighted_dimension_sum(s, marginals)
     I = len(marginals)
     pooled = n + n_star

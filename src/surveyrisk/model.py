@@ -119,17 +119,19 @@ class DerivedQuantities:
     A: np.ndarray
 
 
-def _count(x: object, survey: str, group: int) -> int:
-    """``x`` as a Python int if it is a nonnegative integer, else DomainError."""
+def as_int(x: object, what: str, least: int = 1) -> int:
+    """``x`` as a Python int if it is an integer >= ``least``, else DomainError.
+
+    The one rule for every caller-supplied size, count, replication
+    number, seed and worker count: numpy integers are accepted, while a
+    fractional value is refused rather than truncated, and so is ``bool``.
+    """
     try:
         value = None if isinstance(x, bool) else operator.index(x)
     except TypeError:
         value = None
-    if value is None or value < 0:
-        raise DomainError(
-            f"{survey} counts must be nonnegative integers; "
-            f"group {group} holds {x!r}"
-        )
+    if value is None or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
     return value
 
 
@@ -153,7 +155,8 @@ class SurveyCounts:
         if len(self.present) == 0:
             raise ShapeError("present counts need at least one group")
         present = tuple(
-            tuple(_count(x, "present", i) for x in row)
+            tuple(as_int(x, f"present count of group {i}", least=0)
+                  for x in row)
             for i, row in enumerate(self.present)
         )
         prior = self.prior
@@ -163,7 +166,10 @@ class SurveyCounts:
                     f"prior counts cover {len(prior)} groups, present "
                     f"counts cover {len(present)}"
                 )
-            prior = tuple(_count(x, "prior", i) for i, x in enumerate(prior))
+            prior = tuple(
+                as_int(x, f"prior count of group {i}", least=0)
+                for i, x in enumerate(prior)
+            )
         # the instance is frozen; normalize its fields before anyone sees it
         vars(self).update(present=present, prior=prior)
 

@@ -46,7 +46,6 @@ at disjoint indices.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,7 +60,7 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .estimators import EstimatorKind
-from .model import DerivedQuantities, SurveyCounts, TwoStageModel, derive
+from .model import DerivedQuantities, SurveyCounts, TwoStageModel, as_int, derive
 
 __all__ = [
     "BLOCK_SIZE",
@@ -76,20 +75,31 @@ __all__ = [
 #: results change if this changes
 BLOCK_SIZE = 4096
 
+#: draws one replication may discard before the run gives up, unless a
+#: SimulationConfig sets its own budget
+_MAX_REJECTIONS = 10**6
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Integer fields, stored as Python ints; the seed is below 2**64."""
+
     replications: int
     seed: int = 0
-    max_rejections_per_rep: int = 10**6
+    max_rejections_per_rep: int = _MAX_REJECTIONS
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.max_rejections_per_rep < 1:
-            raise DomainError("max_rejections_per_rep must be >= 1")
+        seed = as_int(self.seed, "seed", least=0)
+        if seed >= 2**64:
+            raise DomainError(f"seed must be below 2**64, got {seed}")
+        # the instance is frozen; normalize its fields before anyone sees it
+        vars(self).update(
+            replications=as_int(self.replications, "replications"),
+            seed=seed,
+            max_rejections_per_rep=as_int(
+                self.max_rejections_per_rep, "max_rejections_per_rep"
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -116,23 +126,8 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _size(x: object, name: str, least: int = 1) -> int:
-    """``x`` as a Python int if it is an integer >= ``least``, else DomainError.
-
-    Fractional sizes are refused rather than truncated, and so is
-    ``bool``; numpy integers are accepted.
-    """
-    try:
-        value = None if isinstance(x, bool) else operator.index(x)
-    except TypeError:
-        value = None
-    if value is None or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {x!r}")
-    return value
-
-
 def _check_present_size(n: object, model: TwoStageModel) -> int:
-    n = _size(n, "n")
+    n = as_int(n, "n")
     if n < model.n_groups:
         raise RejectionBudgetExceeded(
             f"n={n} is below the number of groups ({model.n_groups}), so "
@@ -287,10 +282,10 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value.  ``n_star`` is ignored for the
-    present estimator.  Sizes must be integers (numpy integers work; a
-    fractional size or a bool raises DomainError).  A present size below
-    the number of groups raises RejectionBudgetExceeded at once, since no
-    draw could be accepted.
+    present estimator.  Sizes and ``workers`` must be integers (numpy
+    integers work; a fractional value or a bool raises DomainError).  A
+    present size below the number of groups raises
+    RejectionBudgetExceeded at once, since no draw could be accepted.
     """
     n = _check_present_size(n, model)
     if kind is EstimatorKind.PRESENT:
@@ -298,9 +293,8 @@ def simulate_risk(
     else:
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-        n_star = _size(n_star, "n_star")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+        n_star = as_int(n_star, "n_star")
+    workers = as_int(workers, "workers")
 
     dq = derive(model)
     truth = model.flat()
@@ -347,7 +341,6 @@ def sample_surveys(
     n: int,
     n_star: int,
     rng: np.random.Generator,
-    max_rejections: int = 10**6,
 ) -> tuple[SurveyCounts, int]:
     """Draw one pair of surveys; returns (counts, number of discarded draws).
 
@@ -356,12 +349,13 @@ def sample_surveys(
     unconditioned multinomial over the group marginals, drawn by the
     engine's own prior sampler.  As in :func:`simulate_risk`, a size that
     is not an integer raises DomainError and n below the number of groups
-    raises RejectionBudgetExceeded, both before drawing.
+    raises RejectionBudgetExceeded, both before drawing; the rejection
+    budget is SimulationConfig's default.
     """
     n = _check_present_size(n, model)
-    n_star = _size(n_star, "n_star", least=0)
+    n_star = as_int(n_star, "n_star", least=0)
     dq = derive(model)
-    _, cells, discarded = _draw_present(rng, dq, n, 1, max_rejections)
+    _, cells, discarded = _draw_present(rng, dq, n, 1, _MAX_REJECTIONS)
     bounds = np.cumsum(model.group_sizes)[:-1]
     present = tuple(tuple(row) for row in np.split(cells[0], bounds))
     prior = None
@@ -377,7 +371,7 @@ def discard_probability(model: TwoStageModel, n: int) -> float:
     This is the expected discard rate of :func:`simulate_risk` and decays
     exponentially in n, with rate set by the largest (1 - m_i.).
     """
-    n = _size(n, "n")
+    n = as_int(n, "n")
     marginals = derive(model).marginals.tolist()
     I = len(marginals)
     if I > 20:

@@ -59,7 +59,7 @@ from .errors import (
     ZeroGroupCount,
 )
 from .estimators import EstimatorKind
-from .model import SurveyCounts, TwoStageModel, derive
+from .model import SurveyCounts, TwoStageModel, as_int, derive
 from .montecarlo import SimulationConfig, simulate_risk
 
 __all__ = [
@@ -95,7 +95,11 @@ class AdviceContext(enum.Enum):
 
 @dataclass(frozen=True)
 class RssQuery:
-    """What to solve for and how to evaluate risk while doing it."""
+    """What to solve for and how to evaluate risk while doing it.
+
+    ``n0`` (and ``n0_star`` for present-vs-pooled) are integers >= 1,
+    stored as Python ints; ``n0_star`` is not used for prior-vs-present.
+    """
 
     kind: RssKind
     n0: int
@@ -104,13 +108,11 @@ class RssQuery:
     config: SimulationConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.n0 < 1:
-            raise DomainError(f"n0 must be a positive integer, got {self.n0}")
+        n0, n0_star = as_int(self.n0, "n0"), self.n0_star
         if self.kind is RssKind.PRESENT_TO_POOLED:
-            if self.n0_star is None or self.n0_star < 1:
-                raise DomainError(
-                    "present-vs-pooled queries need a positive n0_star"
-                )
+            n0_star = as_int(n0_star, "a present-vs-pooled query's n0_star")
+        # the instance is frozen; normalize its fields before anyone sees it
+        vars(self).update(n0=n0, n0_star=n0_star)
         if self.method not in ("app", "sim"):
             raise DomainError(f"method must be 'app' or 'sim', got {self.method!r}")
         if self.method == "sim" and self.config is None:
@@ -173,6 +175,7 @@ def required_sample_size(
     target.  ``workers`` is forwarded to the simulation engine; it does
     not change results.
     """
+    workers = as_int(workers, "workers")
     dq = derive(model)
     n0 = query.n0
     if query.method == "app":
@@ -228,6 +231,7 @@ def advise_from_marginals(
     """
     if stage not in ("post", "plan"):
         raise DomainError(f"stage must be 'post' or 'plan', got {stage!r}")
+    n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     if len(group_sizes) != len(marginals):
         raise ShapeError(
             f"{len(group_sizes)} group sizes vs {len(marginals)} marginals"
@@ -300,10 +304,7 @@ def advise(
             group_sizes, marginals, n_present, n_star, stage="post"
         )
     if stage == "plan":
-        if n is None or n < 1:
-            raise DomainError(
-                "planning advice needs a positive candidate present size n"
-            )
+        n = as_int(n, "planning advice's candidate present size n")
         marginals = [xs / n_star for xs in counts.prior]
         return advise_from_marginals(
             group_sizes, marginals, n, n_star, stage="plan"

@@ -16,13 +16,22 @@ from surveyrisk import (
     EstimatorKind,
     MissingNStar,
     RejectionBudgetExceeded,
+    RssKind,
+    RssQuery,
     SimulationConfig,
+    SurveyCounts,
+    advise,
+    advise_from_marginals,
     build_model,
     bundled_model,
     derive,
     discard_probability,
+    required_sample_size,
     risk_app,
+    risk_app_closed_form,
     risk_full_model,
+    risk_gap_present_pooled,
+    risk_gap_present_prior,
     sample_surveys,
     simulate_risk,
 )
@@ -262,6 +271,77 @@ def test_fractional_or_bool_sizes_are_refused(bad):
     if bad != 0:
         with pytest.raises(DomainError):
             sample_surveys(BREAST_CANCER, 200, bad, rng)
+    with pytest.raises(DomainError):
+        simulate_risk(EstimatorKind.PRESENT, BREAST_CANCER, 200, None, cfg,
+                      workers=bad)
+    with pytest.raises(DomainError):
+        SimulationConfig(replications=bad)
+    with pytest.raises(DomainError):
+        SimulationConfig(replications=16, max_rejections_per_rep=bad)
+
+    dq = derive(BREAST_CANCER)
+    for kind in EstimatorKind:
+        with pytest.raises(DomainError):
+            risk_app(kind, dq, bad, 600)
+        with pytest.raises(DomainError):
+            risk_app_closed_form(kind, dq, bad, 600)
+    for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
+        with pytest.raises(DomainError):
+            risk_app(kind, dq, 200, bad)
+        with pytest.raises(DomainError):
+            risk_app_closed_form(kind, dq, 200, bad)
+    with pytest.raises(DomainError):
+        risk_full_model(bad, 1e4, 200)
+    with pytest.raises(DomainError):
+        risk_full_model(14, 1e4, bad)
+    sizes, marginals = BREAST_CANCER.group_sizes, dq.marginals.tolist()
+    for n, n_star in ((bad, 600), (200, bad)):
+        with pytest.raises(DomainError):
+            risk_gap_present_prior(dq, n, n_star)
+        with pytest.raises(DomainError):
+            risk_gap_present_pooled(dq, n, n_star)
+        with pytest.raises(DomainError):
+            advise_from_marginals(sizes, marginals, n, n_star)
+
+    with pytest.raises(DomainError):
+        RssQuery(RssKind.PRIOR_TO_PRESENT, n0=bad)
+    with pytest.raises(DomainError):
+        RssQuery(RssKind.PRESENT_TO_POOLED, n0=bad, n0_star=400)
+    with pytest.raises(DomainError):
+        RssQuery(RssKind.PRESENT_TO_POOLED, n0=400, n0_star=bad)
+    with pytest.raises(DomainError):
+        required_sample_size(RssQuery(RssKind.PRIOR_TO_PRESENT, 400),
+                             BREAST_CANCER, workers=bad)
+    counts = SurveyCounts(
+        present=((5, 12, 8), (13, 34, 17), (18, 27, 22), (12, 17, 11), (3, 1, 1)),
+        prior=(26, 63, 67, 40, 5),
+    )
+    with pytest.raises(DomainError):
+        advise(counts, sizes, stage="plan", n=bad)
+
+
+@pytest.mark.parametrize("bad", [1.7, True, -1, 2**64, "1"])
+def test_seed_outside_the_unsigned_64_bit_integers_is_refused(bad):
+    """``seed=1.7`` and ``seed=True`` once ran bitwise as ``seed=1``."""
+    with pytest.raises(DomainError):
+        SimulationConfig(replications=16, seed=bad)
+
+
+def test_expansion_limits_other_than_the_prior_floor_are_refused():
+    """n* = inf is the prior estimator's documented limit and nothing
+    else's; a NaN size used to give a NaN risk."""
+    dq = derive(BREAST_CANCER)
+    floor = risk_app(EstimatorKind.PRIOR, dq, 200, math.inf)
+    assert floor.total < risk_app(EstimatorKind.PRIOR, dq, 200, 10**9).total
+    for kind, n_star in ((EstimatorKind.POOLED, math.inf),
+                         (EstimatorKind.PRIOR, math.nan),
+                         (EstimatorKind.PRIOR, -math.inf)):
+        with pytest.raises(DomainError):
+            risk_app(kind, dq, 200, n_star)
+    with pytest.raises(DomainError):
+        risk_app(EstimatorKind.PRESENT, dq, math.inf)
+    with pytest.raises(DomainError):
+        risk_app_closed_form(EstimatorKind.PRIOR, dq, 200, math.inf)
 
 
 def test_numpy_integer_sizes_match_python_ints():
@@ -271,3 +351,46 @@ def test_numpy_integer_sizes_match_python_ints():
                         np.uint16(300), cfg)
     assert got == want
     assert type(got.n) is int and type(got.n_star) is int
+
+
+def test_numpy_integers_match_python_ints_at_every_entry_point():
+    """numpy integers are accepted wherever a size is, give bitwise the
+    same results, and are stored as Python ints."""
+    cfg = SimulationConfig(replications=np.int64(300), seed=np.uint64(4),
+                           max_rejections_per_rep=np.int32(50))
+    assert cfg == SimulationConfig(replications=300, seed=4,
+                                   max_rejections_per_rep=50)
+    assert all(type(v) is int for v in
+               (cfg.replications, cfg.seed, cfg.max_rejections_per_rep))
+    big = SimulationConfig(replications=16, seed=np.uint64(2**64 - 1))
+    assert type(big.seed) is int and big.seed == 2**64 - 1
+    want = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300,
+                         SimulationConfig(replications=300, seed=4))
+    assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg,
+                         workers=np.int8(2)) == want
+
+    dq = derive(BREAST_CANCER)
+    for kind in EstimatorKind:
+        want = risk_app(kind, dq, 200, 600)
+        got = risk_app(kind, dq, np.int64(200), np.uint32(600))
+        assert got == want
+        assert type(got.n) is int
+        assert got.n_star is None or type(got.n_star) is int
+
+    for kind, n0, n0_star in ((RssKind.PRIOR_TO_PRESENT, 400, None),
+                              (RssKind.PRESENT_TO_POOLED, 400, 400)):
+        query = RssQuery(kind, n0=np.int64(n0),
+                         n0_star=None if n0_star is None else np.int16(n0_star))
+        assert type(query.n0) is int
+        assert query.n0_star is None or type(query.n0_star) is int
+        assert query == RssQuery(kind, n0=n0, n0_star=n0_star)
+        got = required_sample_size(query, BREAST_CANCER)
+        assert got == required_sample_size(RssQuery(kind, n0, n0_star),
+                                           BREAST_CANCER)
+        assert type(got) is int
+
+    rec = advise_from_marginals(BREAST_CANCER.group_sizes, dq.marginals.tolist(),
+                                np.int64(200), np.int32(600))
+    assert rec == advise_from_marginals(BREAST_CANCER.group_sizes,
+                                        dq.marginals.tolist(), 200, 600)
+    assert type(rec.n) is int and type(rec.n_star) is int

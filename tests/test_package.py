@@ -28,7 +28,27 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _uses_operator_index(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "index"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(alias.name == "index" for alias in node.names)):
+            return True
+    return False
+
+
 def test_no_module_imports_a_private_name_from_another():
     leaks = [leak for path in sorted(PACKAGE.glob("*.py"))
              for leak in _private_imports(path)]
     assert leaks == []
+
+
+def test_one_module_decides_what_an_integer_size_is():
+    """``model.as_int`` is the only size rule; a second ``operator.index``
+    check elsewhere would be a second rule free to drift from it."""
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if _uses_operator_index(path)]
+    assert users == ["model.py"]
