@@ -221,8 +221,7 @@ def _risk_rows_app(model_name, model, kinds, n, n_star, precision):
               "present_app", "prior_app", "pooled_app"]
     values = {k: "" for k in _ALL_KINDS}
     for kind in kinds:
-        ns = None if kind is EstimatorKind.PRESENT else n_star
-        values[kind] = _fmt(risk_app(kind, dq, n, ns).total, precision)
+        values[kind] = _fmt(risk_app(kind, dq, n, n_star).total, precision)
     row = [model_name, "app", str(n), "" if n_star is None else str(n_star),
            values[EstimatorKind.PRESENT], values[EstimatorKind.PRIOR],
            values[EstimatorKind.POOLED]]
@@ -236,8 +235,7 @@ def _risk_rows_sim(model_name, model, kinds, n, n_star, config, workers, precisi
     values = {k: ("", "") for k in _ALL_KINDS}
     discard = ""
     for kind in kinds:
-        ns = None if kind is EstimatorKind.PRESENT else n_star
-        r = simulate_risk(kind, model, n, ns, config, workers)
+        r = simulate_risk(kind, model, n, n_star, config, workers)
         values[kind] = (_fmt(r.mean_loss, precision), _fmt(r.std_error, precision))
         discard = _fmt(r.discard_rate, precision)
     row = [model_name, "sim", str(n), "" if n_star is None else str(n_star),

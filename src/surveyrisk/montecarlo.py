@@ -285,7 +285,9 @@ def simulate_risk(
     present estimator.  Sizes and ``workers`` must be integers (numpy
     integers work; a fractional value or a bool raises DomainError).  A
     present size below the number of groups raises
-    RejectionBudgetExceeded at once, since no draw could be accepted.
+    RejectionBudgetExceeded at once, since no draw could be accepted, and
+    for the prior and pooled estimators (n + n*) * n >= 2**63 raises
+    DomainError.
     """
     n = _check_present_size(n, model)
     if kind is EstimatorKind.PRESENT:
@@ -294,6 +296,13 @@ def simulate_risk(
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
         n_star = as_int(n_star, "n_star")
+        # the prior and pooled estimates multiply counts in int64, each
+        # product at most (n + n*) * n
+        if (n + n_star) * n >= 2**63:
+            raise DomainError(
+                f"(n + n*) * n must be below 2**63 for the engine's int64 "
+                f"estimates, got n={n}, n*={n_star}"
+            )
     workers = as_int(workers, "workers")
 
     dq = derive(model)

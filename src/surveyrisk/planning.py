@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .asymptotics import gap_present_pooled_first_stage, risk_app
+from .asymptotics import gap_first_stage, risk_app
 from .errors import (
     DomainError,
     MissingPriorCounts,
@@ -217,6 +217,10 @@ def required_sample_size(
 # advisor
 # ---------------------------------------------------------------------------
 
+def _layout(group_sizes: Sequence[int]) -> tuple[int, ...]:
+    return tuple(as_int(j, "a group size", least=0) for j in group_sizes)
+
+
 def advise_from_marginals(
     group_sizes: Sequence[int],
     marginals: Sequence[float],
@@ -244,11 +248,11 @@ def advise_from_marginals(
                 f"plug-in marginal for group {i} is {m!r}; cannot evaluate "
                 f"the decision statistic"
             )
-    s = [int(j) - 1 for j in group_sizes]
+    s = [j - 1 for j in _layout(group_sizes)]
     if any(x < 0 for x in s):
         raise ShapeError("every group needs at least one cell")
     M_f = math.fsum(1.0 / m for m in marginals)
-    stat = gap_present_pooled_first_stage(s, list(marginals), M_f, n, n_star)
+    stat = gap_first_stage(EstimatorKind.POOLED, s, list(marginals), M_f, n, n_star)
     if stage == "post":
         decision = Decision.USE_POOLED if stat >= 0.0 else Decision.USE_PRESENT_ONLY
         context = AdviceContext.POST_SURVEY
@@ -279,7 +283,7 @@ def advise(
     present size ``n`` and plugs in the prior marginals; the present part
     of ``counts`` is ignored in that mode.
     """
-    if tuple(int(j) for j in group_sizes) != counts.group_sizes:
+    if _layout(group_sizes) != counts.group_sizes:
         raise ShapeError(
             f"layout {tuple(group_sizes)} does not match counts layout "
             f"{counts.group_sizes}"

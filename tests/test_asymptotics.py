@@ -193,12 +193,3 @@ def test_pathological_region_is_increasing_in_prior_size():
     pre = risk_app(EstimatorKind.PRESENT, UNIFORM, 90).total
     assert all(pre < v for v in values)
 
-
-def test_explicit_second_stage_coefficients_override():
-    """A caller may supply its own A vector; zeros reduce the present
-    expansion to first stage plus the marginal correction."""
-    r = risk_app(EstimatorKind.PRESENT, UNIFORM, 100, A=[0.0, 0.0])
-    want = 199 / 200 + 3 / 120000
-    assert math.isclose(r.total, want, rel_tol=1e-14)
-    with pytest.raises(DomainError):
-        risk_app(EstimatorKind.PRESENT, UNIFORM, 100, A=[0.0])

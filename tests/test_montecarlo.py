@@ -205,6 +205,18 @@ def test_present_size_below_group_count_fails_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_sizes_whose_estimates_overflow_int64_are_refused():
+    """The prior and pooled estimates multiply counts in int64; products
+    up to (n + n*) * n would wrap silently, so such sizes are refused
+    before anything is drawn."""
+    cfg = SimulationConfig(replications=20_000, seed=0)
+    start = time.perf_counter()
+    for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
+        with pytest.raises(DomainError, match="2\\*\\*63"):
+            simulate_risk(kind, BREAST_CANCER, 200, 2**62, cfg)
+    assert time.perf_counter() - start < 0.5
+
+
 def _inverse_grid():
     """(u, r, q) rows for the inverse-CDF cross-check.
 

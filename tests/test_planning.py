@@ -234,3 +234,24 @@ def test_advise_error_paths():
                (2, 2), stage="plan", n=50)
     with pytest.raises(DomainError):
         advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, stage="nope")
+
+
+def test_advisor_group_sizes_are_integers():
+    """A fractional or bool group size is refused rather than truncated,
+    numpy integers give the same statistic, and a zero-cell group is still
+    a shape error."""
+    m2 = bundled_model("example2-breast-cancer")
+    marg = derive(m2).marginals.tolist()
+    for bad in ((3.9, 3, 3, 3, 3), (True, 3, 3, 3, 3)):
+        with pytest.raises(DomainError):
+            advise_from_marginals(bad, marg, 200, 600)
+    want = advise_from_marginals(m2.group_sizes, marg, 200, 600)
+    got = advise_from_marginals(tuple(np.int64(j) for j in m2.group_sizes),
+                                marg, 200, 600)
+    assert got == want
+    with pytest.raises(ShapeError):
+        advise_from_marginals((0, 3, 3, 3, 3), marg, 200, 600)
+    counts = SurveyCounts(present=((1, 1), (1, 1)), prior=(5, 5))
+    with pytest.raises(DomainError):
+        advise(counts, (2.5, 2))
+    assert advise(counts, (np.int64(2), 2)) == advise(counts, (2, 2))
