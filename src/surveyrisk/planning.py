@@ -16,16 +16,32 @@ shape, "how large must one survey be to match the other design's risk":
   unified survey of the combined size beats pooling two surveys.
 
 Risks are evaluated either from the truncated expansions (method "app")
-or by Monte Carlo (method "sim").  Both risk curves are monotone
-decreasing in the probed size, so the solver brackets by doubling and
-then runs integer bisection, returning the smallest integer satisfying
-the inequality.  The simulation method reuses one seed across all probe
-points (common random numbers); prior draws are comonotone across n* by
-the engine's design, which keeps the probed curve smooth enough to
-bisect.  Attainability is prescreened analytically even for the
+or by Monte Carlo (method "sim").  One routine serves both: it gallops
+from a guess (steps s, 2s, 4s, ... up while the risk is above the
+target, down while it is not), then runs integer bisection on the
+bracket.  It probes no size above n0 * 2**MAX_DOUBLINGS.
+
+* "app" gallops from n0 in steps of n0, that is, it doubles n0 until the
+  target is met; the analytic curve is monotone decreasing, so the
+  answer is the least size meeting the target.
+* "sim" starts where the analytic answer a0 is, probes the simulated
+  curve there, shifts the analytic curve by the measured offset and
+  solves that again (no engine run) for a1, falling back to a0 when the
+  shifted target lies beyond the cap.  It then gallops from a1 in steps
+  of 1, 2, 4, ..., reusing every probe already made as a bracket end.
+  Where the simulated curve is the analytic one shifted by a constant,
+  a solve takes 3 or 4 engine runs, the target run included.
+
+A simulated answer x is a crossing of the probed curve: risk(x) is at
+or below the target and risk(x - 1) is above it, both on the same seed.
+It is the unique such x only where that curve is monotone; Monte Carlo
+noise can make it wiggle near a flat root.  The simulation method reuses
+one seed across all probe points (common random numbers); prior draws
+are comonotone across n* by the engine's design, which keeps the probed
+curve smooth.  Attainability is prescreened analytically even for the
 simulation method, so an impossible target raises Unattainable rather
-than burning replications; a bracket that fails for an attainable target
-raises SimulationNoise instead.
+than burning replications; a simulated curve that stays above the
+target up to the cap raises SimulationNoise instead.
 
 Advisor.  The present-vs-pooled risk gap depends only on first-stage
 quantities (I, s_i, m_i., M_f), so it can be evaluated with estimated
@@ -73,7 +89,7 @@ __all__ = [
     "advise_from_marginals",
 ]
 
-#: bracketing gives up at n0 * 2**MAX_DOUBLINGS
+#: the solver probes no size above n0 * 2**MAX_DOUBLINGS
 MAX_DOUBLINGS = 20
 
 
@@ -97,8 +113,9 @@ class AdviceContext(enum.Enum):
 class RssQuery:
     """What to solve for and how to evaluate risk while doing it.
 
-    ``n0`` (and ``n0_star`` for present-vs-pooled) are integers >= 1,
-    stored as Python ints; ``n0_star`` is not used for prior-vs-present.
+    ``n0`` and a given ``n0_star`` are integers >= 1, stored as Python
+    ints.  Present-vs-pooled needs ``n0_star``; prior-vs-present does not
+    use it and also accepts None.
     """
 
     kind: RssKind
@@ -109,8 +126,8 @@ class RssQuery:
 
     def __post_init__(self) -> None:
         n0, n0_star = as_int(self.n0, "n0"), self.n0_star
-        if self.kind is RssKind.PRESENT_TO_POOLED:
-            n0_star = as_int(n0_star, "a present-vs-pooled query's n0_star")
+        if n0_star is not None or self.kind is RssKind.PRESENT_TO_POOLED:
+            n0_star = as_int(n0_star, f"a {self.kind.value} query's n0_star")
         # the instance is frozen; normalize its fields before anyone sees it
         vars(self).update(n0=n0, n0_star=n0_star)
         if self.method not in ("app", "sim"):
@@ -134,29 +151,51 @@ class Recommendation:
 
 
 def _least_satisfying(
-    f: Callable[[int], float], start: int, on_cap_exhausted: Exception
-) -> int:
-    """Least integer x >= 1 with f(x) <= 0, for f monotone decreasing.
+    f: Callable[[int], float],
+    guess: int,
+    step: int,
+    cap: int,
+    memo: dict[int, float] | None = None,
+) -> int | None:
+    """Some x in [1, cap] with f(x) <= 0 < f(x - 1), or None if f(cap) > 0.
 
-    Brackets by doubling from ``start``; bisects the bracket.  ``f`` is
-    memoized so noisy (simulated) evaluations are consistent within one
-    solve.
+    ``f(0)`` counts as positive.  Gallops from ``guess``: upward in
+    steps ``step``, ``2*step``, ``4*step``, ... while f stays positive,
+    or downward the same way while it does not, and clipped to [0, cap];
+    then bisects the bracket.  ``f`` is memoized in ``memo`` so noisy
+    (simulated) evaluations are consistent within one solve; sizes
+    already in ``memo`` serve as bracket ends.  For a monotone
+    decreasing f the answer is the least x with f(x) <= 0.
     """
-    cache: dict[int, float] = {}
+    memo = {} if memo is None else memo
 
     def g(x: int) -> float:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
+        if x not in memo:
+            memo[x] = f(x)
+        return memo[x]
 
-    lo, hi = 0, max(start, 1)
-    doublings = 0
-    while g(hi) > 0.0:
-        lo = hi
-        hi *= 2
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise on_cap_exhausted
+    # a memoized size inside the next step is a free probe, and the
+    # bracket then ends there
+    if g(guess) > 0.0:
+        lo = guess
+        while True:
+            if lo >= cap:
+                return None
+            x = min((y for y in memo if lo < y <= lo + step),
+                    default=min(lo + step, cap))
+            if g(x) <= 0.0:
+                hi = x
+                break
+            lo, step = x, 2 * step
+    else:
+        hi = guess
+        while True:
+            x = max((y for y in memo if hi - step <= y < hi),
+                    default=max(hi - step, 0))
+            if x == 0 or g(x) > 0.0:
+                lo = x
+                break
+            hi, step = x, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if g(mid) <= 0.0:
@@ -171,25 +210,16 @@ def required_sample_size(
 ) -> int:
     """Solve an r.s.s. query; see the module docstring for semantics.
 
-    Returns the smallest integer sample size whose risk is at or below the
-    target.  ``workers`` is forwarded to the simulation engine; it does
-    not change results.
+    Returns a sample size x whose risk is at or below the target while
+    the risk at x - 1 is above it: the smallest such size on the
+    analytic curve, and a crossing of the probed curve for simulation.
+    ``workers`` is forwarded to the simulation engine; it does not
+    change results.
     """
     workers = as_int(workers, "workers")
     dq = derive(model)
     n0 = query.n0
-    if query.method == "app":
-        def risk(kind: EstimatorKind, n: int, n_star: int | None = None) -> float:
-            return risk_app(kind, dq, n, n_star).total
-    else:
-        def risk(kind: EstimatorKind, n: int, n_star: int | None = None) -> float:
-            return simulate_risk(
-                kind, model, n, n_star, query.config, workers
-            ).mean_loss
-    cap_error: Exception = SimulationNoise(
-        "could not bracket the target at the configured replication "
-        "count; increase replications"
-    )
+    cap = n0 * 2**MAX_DOUBLINGS
 
     if query.kind is RssKind.PRIOR_TO_PRESENT:
         target_app = risk_app(EstimatorKind.PRESENT, dq, n0).total
@@ -199,18 +229,38 @@ def required_sample_size(
                 f"risk at n0={n0} for any prior size; the within-group risk "
                 f"floor is too high"
             )
-        if query.method == "app":
-            cap_error = Unattainable("bracketing exhausted; target out of reach")
-        target = risk(EstimatorKind.PRESENT, n0)
 
-        def f(ns: int) -> float:
-            return risk(EstimatorKind.PRIOR, n0, ns) - target
+        def curve(risk: Callable[..., float]) -> Callable[[int], float]:
+            """n* -> prior risk at (n0, n*) minus present risk at n0."""
+            target = risk(EstimatorKind.PRESENT, n0, None)
+            return lambda ns: risk(EstimatorKind.PRIOR, n0, ns) - target
     else:  # present-vs-pooled: always attainable (present risk falls to 0)
-        target = risk(EstimatorKind.POOLED, n0, query.n0_star)
 
-        def f(n: int) -> float:
-            return risk(EstimatorKind.PRESENT, n) - target
-    return _least_satisfying(f, n0, cap_error)
+        def curve(risk: Callable[..., float]) -> Callable[[int], float]:
+            """n -> present risk at n minus pooled risk at (n0, n0*)."""
+            target = risk(EstimatorKind.POOLED, n0, query.n0_star)
+            return lambda n: risk(EstimatorKind.PRESENT, n, None) - target
+
+    f_app = curve(lambda kind, n, n_star: risk_app(kind, dq, n, n_star).total)
+    a0 = _least_satisfying(f_app, n0, n0, cap)
+    if query.method == "app":
+        if a0 is None:
+            raise Unattainable("bracketing exhausted; target out of reach")
+        return a0
+
+    f_sim = curve(lambda kind, n, n_star: simulate_risk(
+        kind, model, n, n_star, query.config, workers).mean_loss)
+    a0 = cap if a0 is None else a0
+    memo = {a0: f_sim(a0)}
+    offset = memo[a0] - f_app(a0)
+    a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
+    found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
+    if found is None:
+        raise SimulationNoise(
+            "could not bracket the target at the configured replication "
+            "count; increase replications"
+        )
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ kinds, a present size with discards (breast-cancer at n = 60),
 replication counts that are not multiples of ``BLOCK_SIZE`` and a seed
 above 2**63.
 
+``RSS_SIMULATED`` pins the simulated required sample size of three
+(model, kind, n0, n0*) queries at two seeds: the answers the sample-size
+solver returns on the simulated curve, which is noisy near the root.
+
 ``APPROXIMATED`` pins the analytic side for every bundled model at four
 (n, n*) pairs: each kind's ``risk_app`` terms (first_order,
 second_order, total), the prior's floor at n* = inf, both risk gaps, and
@@ -26,10 +30,13 @@ import numpy as np
 
 from surveyrisk import (
     EstimatorKind,
+    RssKind,
+    RssQuery,
     SimulationConfig,
     advise_from_marginals,
     bundled_model,
     derive,
+    required_sample_size,
     risk_app,
     risk_gap_present_pooled,
     risk_gap_present_prior,
@@ -55,6 +62,16 @@ SIMULATED = {
         (0.0302233173813171, 7.91386846815633e-05, 0.0),
     ("example3-household", "pooled", 300, 2000, 4100, 2**63 + 5):
         (0.09473699475566272, 0.0002824123512110953, 0.00048756704046806434),
+}
+
+#: (model, kind, n0, n0*, replications, seed) -> simulated required sample size
+RSS_SIMULATED = {
+    ("example2-breast-cancer", "prior-vs-present", 400, None, 4096, 0): 444,
+    ("example2-breast-cancer", "present-vs-pooled", 400, 400, 4096, 0): 453,
+    ("example1-uniform100x2", "present-vs-pooled", 400, 400, 4096, 0): 401,
+    ("example2-breast-cancer", "prior-vs-present", 400, None, 4096, 20190415): 442,
+    ("example2-breast-cancer", "present-vs-pooled", 400, 400, 4096, 20190415): 458,
+    ("example1-uniform100x2", "present-vs-pooled", 400, 400, 4096, 20190415): 401,
 }
 
 #: (model, n, n*, default_rng seed) -> (present cells, prior counts, discarded)
@@ -308,6 +325,12 @@ def _simulate(name, kind, n, n_star, reps, seed):
     return (r.mean_loss, r.std_error, r.discard_rate)
 
 
+def _solve(name, kind, n0, n0_star, reps, seed):
+    query = RssQuery(kind=RssKind(kind), n0=n0, n0_star=n0_star, method="sim",
+                     config=SimulationConfig(replications=reps, seed=seed))
+    return required_sample_size(query, bundled_model(name))
+
+
 def _sample(name, n, n_star, seed):
     counts, discarded = sample_surveys(
         bundled_model(name), n, n_star, np.random.default_rng(seed)
@@ -318,6 +341,11 @@ def _sample(name, n, n_star, seed):
 def test_simulated_values_are_pinned_bitwise():
     got = {key: _simulate(*key) for key in SIMULATED}
     assert got == SIMULATED
+
+
+def test_simulated_sample_sizes_are_pinned():
+    got = {key: _solve(*key) for key in RSS_SIMULATED}
+    assert got == RSS_SIMULATED
 
 
 def test_approximated_values_are_pinned_bitwise():
@@ -333,6 +361,8 @@ def test_sampled_surveys_are_pinned():
 if __name__ == "__main__":
     for key in SIMULATED:
         print(f"    {key!r}:\n        {_simulate(*key)!r},")
+    for key in RSS_SIMULATED:
+        print(f"    {key!r}: {_solve(*key)!r},")
     for key in SAMPLED:
         print(f"    {key!r}: {_sample(*key)!r},")
     for key in _approximation_keys():

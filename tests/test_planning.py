@@ -48,6 +48,18 @@ def test_query_validation():
         RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=100, method="sim")
 
 
+def test_query_n0_star_is_an_integer_for_both_kinds():
+    """A given n0_star goes through the one integer rule for either kind,
+    also for prior-vs-present, which does not use it."""
+    for kind in RssKind:
+        for bad in ("abc", 400.5, 0, True, math.nan):
+            with pytest.raises(DomainError):
+                RssQuery(kind=kind, n0=400, n0_star=bad)
+        n0_star = RssQuery(kind=kind, n0=400, n0_star=np.int64(400)).n0_star
+        assert type(n0_star) is int and n0_star == 400
+    assert RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=400).n0_star is None
+
+
 def test_prior_to_present_reference_points():
     for n0, want in ((400, 791), (1000, 1247)):
         q = RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=n0)
@@ -144,6 +156,130 @@ def test_simulation_noise_when_bracketing_fails(monkeypatch):
                  config=SimulationConfig(replications=8, seed=0))
     with pytest.raises(SimulationNoise):
         required_sample_size(q, UNIFORM)
+
+
+def _fake_engine(monkeypatch, mean_loss):
+    """Stand ``mean_loss(kind, n, n_star)`` in for the engine the solver
+    calls; returns the list of (kind, n, n_star) it is called with."""
+    calls = []
+
+    def fake(kind, model, n, n_star=None, config=None, workers=1):
+        calls.append((kind, n, n_star))
+        return RiskEstimate(mean_loss=mean_loss(kind, n, n_star),
+                            std_error=0.0, replications=8, discard_rate=0.0,
+                            kind=kind, n=n, n_star=n_star)
+
+    monkeypatch.setattr(planning, "simulate_risk", fake)
+    return calls
+
+
+def _sim_query(kind):
+    return RssQuery(kind=kind, n0=400, n0_star=400, method="sim",
+                    config=SimulationConfig(replications=8, seed=0))
+
+
+def _app_total(kind, n, n_star):
+    return risk_app(kind, UNIFORM_DQ, n, n_star).total
+
+
+def _probed_curve(kind, mean_loss):
+    """x -> risk at x minus the target, as the solver forms it."""
+    if kind is RssKind.PRIOR_TO_PRESENT:
+        target = mean_loss(EstimatorKind.PRESENT, 400, None)
+        return lambda x: mean_loss(EstimatorKind.PRIOR, 400, x) - target
+    target = mean_loss(EstimatorKind.POOLED, 400, 400)
+    return lambda x: mean_loss(EstimatorKind.PRESENT, x, None) - target
+
+
+@pytest.mark.parametrize("kind, shift", [
+    (RssKind.PRIOR_TO_PRESENT, 1.5e-4),   # analytic 791, shifted about 1040
+    (RssKind.PRESENT_TO_POOLED, 3e-2),    # analytic 401, shifted about 450
+])
+def test_simulated_solve_follows_a_shifted_curve(monkeypatch, kind, shift):
+    """A simulated curve that is the analytic one plus a constant is solved
+    exactly, far from the analytic answer, in a handful of engine runs."""
+    probed = EstimatorKind.PRIOR if kind is RssKind.PRIOR_TO_PRESENT \
+        else EstimatorKind.PRESENT
+
+    def mean_loss(k, n, n_star):
+        return _app_total(k, n, n_star) + (shift if k is probed else 0.0)
+
+    calls = _fake_engine(monkeypatch, mean_loss)
+    f = _probed_curve(kind, mean_loss)
+    want = 1
+    while f(want) > 0.0:
+        want += 1
+    assert required_sample_size(_sim_query(kind), UNIFORM) == want
+    analytic = required_sample_size(RssQuery(kind=kind, n0=400, n0_star=400),
+                                    UNIFORM)
+    assert want - analytic > 40
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("phase", range(7))
+def test_simulated_solve_returns_a_crossing_of_a_sawtooth(monkeypatch, phase):
+    """Near a flat root a noisy curve crosses the target many times; the
+    answer is one of those crossings, whichever way the solver gallops."""
+
+    def mean_loss(k, n, n_star):
+        if k is EstimatorKind.PRIOR:
+            return _app_total(k, n, n_star) + 2e-5 * ((n_star + phase) % 7)
+        return _app_total(k, n, n_star) + 6e-5
+
+    _fake_engine(monkeypatch, mean_loss)
+    f = _probed_curve(RssKind.PRIOR_TO_PRESENT, mean_loss)
+    crossings = [x for x in range(600, 1200) if f(x) <= 0.0 < f(x - 1)]
+    assert len(crossings) > 1
+    got = required_sample_size(_sim_query(RssKind.PRIOR_TO_PRESENT), UNIFORM)
+    assert got in crossings
+
+
+def test_simulated_solve_gallops_past_an_unreachable_shifted_target(monkeypatch):
+    """The probe at the analytic answer lies so far above the target that
+    the shifted analytic curve never meets it before the cap; the solver
+    still finds where the simulated curve crosses."""
+
+    def mean_loss(k, n, n_star):
+        if k is EstimatorKind.PRIOR:
+            return 1.0 if n_star < 5000 else 0.0
+        return 0.5
+
+    calls = _fake_engine(monkeypatch, mean_loss)
+    assert required_sample_size(
+        _sim_query(RssKind.PRIOR_TO_PRESENT), UNIFORM) == 5000
+    assert len(calls) <= 30
+
+
+#: (kind, n, n*) of every risk_app call an app-mode solve makes on the
+#: uniform model at n0 = n0* = 400: the doubling-then-bisection probes
+APP_CALLS = {
+    RssKind.PRIOR_TO_PRESENT: [
+        ("present", 400, None), ("prior", 400, math.inf), ("present", 400, None),
+        ("prior", 400, 400), ("prior", 400, 800), ("prior", 400, 600),
+        ("prior", 400, 700), ("prior", 400, 750), ("prior", 400, 775),
+        ("prior", 400, 787), ("prior", 400, 793), ("prior", 400, 790),
+        ("prior", 400, 791),
+    ],
+    RssKind.PRESENT_TO_POOLED: [
+        ("pooled", 400, 400), ("present", 400, None), ("present", 800, None),
+        ("present", 600, None), ("present", 500, None), ("present", 450, None),
+        ("present", 425, None), ("present", 412, None), ("present", 406, None),
+        ("present", 403, None), ("present", 401, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(RssKind))
+def test_analytic_solve_probes_by_doubling_from_n0(monkeypatch, kind):
+    calls = []
+
+    def recording(k, dq, n, n_star=None):
+        calls.append((k.value, n, n_star))
+        return risk_app(k, dq, n, n_star)
+
+    monkeypatch.setattr(planning, "risk_app", recording)
+    required_sample_size(RssQuery(kind=kind, n0=400, n0_star=400), UNIFORM)
+    assert calls == APP_CALLS[kind]
 
 
 def test_advise_from_truth_marginals_pathological_point():
