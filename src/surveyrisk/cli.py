@@ -289,8 +289,10 @@ def _cmd_rss(args) -> int:
     kind = RssKind(args.kind)
     if kind is RssKind.PRESENT_TO_POOLED and args.n0star is None:
         raise _UsageError("--kind present-vs-pooled needs --n0star")
+    # prior-vs-present ignores n0*, so its row leaves the field empty
+    n0_star = args.n0star if kind is RssKind.PRESENT_TO_POOLED else None
     _write_rows([_RSS_HEADER,
-                 _rss_row(args.model, model, kind, args.n0, args.n0star, args)])
+                 _rss_row(args.model, model, kind, args.n0, n0_star, args)])
     return 0
 
 

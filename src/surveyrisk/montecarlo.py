@@ -41,11 +41,27 @@ index, and the mean is a single pairwise reduction over that buffer, so
 results are bitwise identical for any worker count.  Worker threads each
 own their blocks end to end; the only shared write target is the buffer,
 at disjoint indices.
+
+Memo of present draws.  A block's present surveys and the Philox state
+after them depend only on (model cells, group sizes, n, seed,
+replications, rejection budget), never on the kind, n* or ``workers``.
+The module keeps one slot of them under that key: per block the totals,
+the cells, the discard count and that state, so a prior draw continues
+the same stream; and the prior counts for the most recent n* only, so a
+prior and a pooled call at the same (n, n*) draw them once.  Counts are
+stored read-only in the smallest of uint8, uint16, uint32 and int64 that
+holds their sum.  Totals and prior counts are widened to int64 when
+read, and cells meet an int64 operand in every product, so the int64
+estimates are exactly what they were.  A call with another key replaces
+the slot; a call whose counts would exceed ``_MEMO_CAP_BYTES`` keeps
+nothing and releases it.  A hit returns exactly what a fresh draw would,
+so results do not change.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -78,6 +94,10 @@ BLOCK_SIZE = 4096
 #: draws one replication may discard before the run gives up, unless a
 #: SimulationConfig sets its own budget
 _MAX_REJECTIONS = 10**6
+
+#: bytes of counts the memo of present draws may hold; a call that
+#: would store more is not memoized
+_MEMO_CAP_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -240,6 +260,67 @@ def _draw_prior(
     return out
 
 
+class _Draws:
+    """One key's draws, per block: a present entry is (totals, cells,
+    discarded, Philox state after the present draw), a prior entry is
+    (n*, prior counts).  Each entry is replaced whole, so threads
+    that share the object never see half of one.  With ``keep`` false
+    nothing is stored and every block draws afresh.
+    """
+
+    def __init__(self, key: tuple, n_blocks: int, keep: bool = True) -> None:
+        self.key = key
+        self.keep = keep
+        self._present: list[tuple | None] = [None] * n_blocks
+        self._prior: list[tuple | None] = [None] * n_blocks
+
+    def present(self, b: int, draw) -> tuple:
+        entry = self._present[b]
+        if entry is None:
+            entry = draw()
+            if self.keep:
+                self._present[b] = entry
+        return entry
+
+    def prior(self, b: int, n_star: int, draw) -> np.ndarray:
+        entry = self._prior[b]
+        if entry is None or entry[0] != n_star:
+            entry = (n_star, draw())
+            if self.keep:
+                self._prior[b] = entry
+        return entry[1]
+
+
+_memo: _Draws | None = None
+_memo_lock = threading.Lock()
+
+
+def _memo_slot(key: tuple, n_blocks: int, nbytes: int) -> _Draws:
+    """The memo slot for ``key``, made afresh when the key changes; over
+    the cap, a slot that keeps nothing, and the module slot is released."""
+    global _memo
+    with _memo_lock:
+        if nbytes > _MEMO_CAP_BYTES:
+            _memo = None
+            return _Draws(key, n_blocks, keep=False)
+        if _memo is None or _memo.key != key:
+            _memo = _Draws(key, n_blocks)
+        return _memo
+
+
+def _count_dtype(total: int) -> np.dtype:
+    """The smallest of uint8, uint16, uint32 and int64 that holds ``total``."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.int64)
+                if total <= np.iinfo(t).max)
+
+
+def _narrow(counts: np.ndarray, total: int) -> np.ndarray:
+    """Read-only copy of counts at most ``total`` in ``_count_dtype(total)``."""
+    out = counts.astype(_count_dtype(total))
+    out.flags.writeable = False
+    return out
+
+
 def _block_losses(
     kind: EstimatorKind,
     dq: DerivedQuantities,
@@ -251,16 +332,30 @@ def _block_losses(
     block_index: int,
     rows: int,
     max_rejections: int,
+    draws: _Draws,
 ) -> tuple[np.ndarray, int]:
-    gen = _block_generator(seed, block_index)
-    totals, cells, discarded = _draw_present(gen, dq, n, rows, max_rejections)
-    totals_rep = np.repeat(totals, sizes, axis=1)
+    def present() -> tuple:
+        gen = _block_generator(seed, block_index)
+        totals, cells, discarded = _draw_present(gen, dq, n, rows, max_rejections)
+        return (_narrow(totals, n), _narrow(cells, n), discarded,
+                gen.bit_generator.state)
+
+    totals, cells, discarded, state = draws.present(block_index, present)
+    totals_rep = np.repeat(totals.astype(np.int64), sizes, axis=1)
+    # cells stay narrow: each product below meets an int64 operand, which
+    # widens them to the same int64 values, and a division gives float64
 
     if kind is EstimatorKind.PRESENT:
         est = cells / float(n)
     else:
         assert n_star is not None
-        xstar = _draw_prior(gen, dq.marginals, n_star, rows)
+
+        def prior() -> np.ndarray:
+            gen = _block_generator(seed, block_index)
+            gen.bit_generator.state = state
+            return _narrow(_draw_prior(gen, dq.marginals, n_star, rows), n_star)
+
+        xstar = draws.prior(block_index, n_star, prior).astype(np.int64)
         xstar_rep = np.repeat(xstar, sizes, axis=1)
         if kind is EstimatorKind.PRIOR:
             est = (xstar_rep * cells) / (n_star * totals_rep)
@@ -281,7 +376,8 @@ def simulate_risk(
     """Estimate one estimator's risk by averaging simulated losses.
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
-    identical for every ``workers`` value.  ``n_star`` is ignored for the
+    identical for every ``workers`` value, and for a memo hit (see the
+    module docstring) and a fresh draw.  ``n_star`` is ignored for the
     present estimator.  Sizes and ``workers`` must be integers (numpy
     integers work; a fractional value or a bool raises DomainError).  A
     present size below the number of groups raises
@@ -312,13 +408,18 @@ def simulate_risk(
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
     discards = np.zeros(n_blocks, dtype=np.int64)
+    width = len(sizes) + truth.size
+    nbytes = reps * width * _count_dtype(n).itemsize
+    if n_star is not None:
+        nbytes += reps * len(sizes) * _count_dtype(n_star).itemsize
+    draws = _memo_slot((truth.tobytes(), sizes, n, config), n_blocks, nbytes)
 
     def run_block(b: int) -> None:
         start = b * BLOCK_SIZE
         rows = min(BLOCK_SIZE, reps - start)
         block, discarded = _block_losses(
             kind, dq, truth, sizes, n, n_star, config.seed, b, rows,
-            config.max_rejections_per_rep,
+            config.max_rejections_per_rep, draws,
         )
         losses[start:start + rows] = block
         discards[b] = discarded

@@ -132,6 +132,19 @@ def test_rss_csv(capsys):
     assert out[1].endswith(",1247")
 
 
+def test_rss_prior_vs_present_row_ignores_n0star(capsys):
+    """The prior-vs-present solve does not use n0*, so the row leaves the
+    n0star field empty whether or not the flag is given."""
+    args = ["rss", "--model", "example1-uniform100x2", "--kind",
+            "prior-vs-present", "--n0", "400", "--method", "app"]
+    assert run(args) == 0
+    without = capsys.readouterr().out
+    assert run(args + ["--n0star", "5"]) == 0
+    assert capsys.readouterr().out == without
+    assert without.splitlines()[1] == (
+        "example1-uniform100x2,prior-vs-present,app,400,,,,791")
+
+
 def test_advise_plug_in_truth(capsys):
     code = run(["advise", "--model", "example1-uniform100x2", "--n", "90",
                 "--nstar", "1000", "--plug-in", "truth"])

@@ -16,6 +16,10 @@ solver returns on the simulated curve, which is noisy near the root.
 second_order, total), the prior's floor at n* = inf, both risk gaps, and
 the advisor's statistic and decision with the true marginals plugged in.
 
+Every ``SIMULATED`` case runs twice: on an empty memo of present draws,
+and right after another kind at the same key, which the engine serves
+from its memo.
+
 A change that moves any of these values, even in the last bit, changes
 what the package reproduces.  Update the fixture only on purpose, and
 record why in CHANGES.md; ``python tests/test_golden.py`` prints the
@@ -43,6 +47,7 @@ from surveyrisk import (
     sample_surveys,
     simulate_risk,
 )
+from surveyrisk import montecarlo
 
 #: (model, kind, n, n*, replications, seed) -> (mean_loss, std_error, discard_rate)
 SIMULATED = {
@@ -338,9 +343,23 @@ def _sample(name, n, n_star, seed):
     return (counts.present, counts.prior, discarded)
 
 
+#: the kind run just before a pinned case to fill the engine's memo of
+#: present draws at the case's key (and its prior counts, at the same n*)
+_SIBLING = {"present": "pooled", "prior": "pooled", "pooled": "prior"}
+
+
 def test_simulated_values_are_pinned_bitwise():
-    got = {key: _simulate(*key) for key in SIMULATED}
-    assert got == SIMULATED
+    """Each case cold, on an empty memo, and warm, right after a sibling
+    kind at the same (model, n, replications, seed)."""
+    cold, warm = {}, {}
+    for key in SIMULATED:
+        name, kind, n, n_star, reps, seed = key
+        montecarlo._memo = None
+        cold[key] = _simulate(*key)
+        _simulate(name, _SIBLING[kind], n, n_star or 300, reps, seed)
+        warm[key] = _simulate(*key)
+    assert cold == SIMULATED
+    assert warm == SIMULATED
 
 
 def test_simulated_sample_sizes_are_pinned():

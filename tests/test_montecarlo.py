@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import time
 import warnings
 
@@ -35,6 +36,7 @@ from surveyrisk import (
     sample_surveys,
     simulate_risk,
 )
+from surveyrisk import montecarlo
 from surveyrisk.montecarlo import _binom_inverse
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
@@ -406,3 +408,142 @@ def test_numpy_integers_match_python_ints_at_every_entry_point():
     assert rec == advise_from_marginals(BREAST_CANCER.group_sizes,
                                         dq.marginals.tolist(), 200, 600)
     assert type(rec.n) is int and type(rec.n_star) is int
+
+
+# ---------------------------------------------------------------------------
+# the memo of present draws
+# ---------------------------------------------------------------------------
+
+MEMO_REPS = 3 * BLOCK_SIZE + 123
+
+
+def _forget_draws() -> None:
+    montecarlo._memo = None
+
+
+@pytest.fixture
+def present_draws(monkeypatch):
+    """Counts the engine's present draws; the memo starts empty."""
+    calls = []
+    draw = montecarlo._draw_present
+
+    def counted(*args):
+        calls.append(args[2])
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_draw_present", counted)
+    monkeypatch.setattr(montecarlo, "_memo", None)
+    return calls
+
+
+def test_memo_hit_equals_a_fresh_draw(present_draws):
+    """For each kind and worker count, a call that finds its surveys in
+    the memo returns bitwise what a fresh draw returns, and fresh draws
+    agree across worker counts."""
+    cfg = SimulationConfig(replications=MEMO_REPS, seed=23)
+    blocks = -(-MEMO_REPS // BLOCK_SIZE)
+    for kind in EstimatorKind:
+        fresh = []
+        for workers in (1, 2, 8):
+            _forget_draws()
+            present_draws.clear()
+            cold = simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, workers)
+            assert len(present_draws) == blocks
+            warm = simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, workers)
+            assert len(present_draws) == blocks
+            assert warm == cold
+            assert cold.discard_rate > 0.0
+            fresh.append(cold)
+        assert fresh[0] == fresh[1] == fresh[2]
+
+    # a sibling kind at the same key fills the memo the same way
+    for kind, sibling in ((EstimatorKind.PRIOR, EstimatorKind.POOLED),
+                          (EstimatorKind.POOLED, EstimatorKind.PRIOR),
+                          (EstimatorKind.PRESENT, EstimatorKind.POOLED)):
+        _forget_draws()
+        cold = simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, 2)
+        _forget_draws()
+        simulate_risk(sibling, BREAST_CANCER, 60, 300, cfg, 8)
+        assert simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, 1) == cold
+
+
+def test_changing_any_memo_key_field_draws_afresh(present_draws):
+    """A model with one cell changed (the same marginals, or the same
+    cells in other groups), another seed, replication count or n each
+    draw new surveys, and return what they return on an empty memo."""
+    base = build_model([[0.25, 0.25], [0.25, 0.25]])
+    cfg = SimulationConfig(replications=5000, seed=3)
+    variants = [
+        (build_model([[0.25, 0.25], [0.2, 0.3]]), 25, cfg),
+        (build_model([[0.25, 0.25, 0.25], [0.25]]), 25, cfg),
+        (base, 25, SimulationConfig(replications=5000, seed=4)),
+        (base, 25, SimulationConfig(replications=5001, seed=3)),
+        (base, 26, cfg),
+    ]
+    for kind in EstimatorKind:
+        for model, n, config in variants:
+            _forget_draws()
+            want = simulate_risk(kind, model, n, 40, config)
+            simulate_risk(kind, base, 25, 40, cfg)
+            present_draws.clear()
+            assert simulate_risk(kind, model, n, 40, config) == want
+            assert len(present_draws) == 2
+
+
+def test_smaller_rejection_budget_still_raises_after_a_hit(present_draws):
+    skewed = build_model([[0.45, 0.45], [0.05, 0.05]])
+    roomy = SimulationConfig(replications=2000, seed=1)
+    tight = SimulationConfig(replications=2000, seed=1, max_rejections_per_rep=1)
+    simulate_risk(EstimatorKind.PRIOR, skewed, 12, 30, roomy)
+    assert simulate_risk(EstimatorKind.PRESENT, skewed, 12, None, roomy
+                         ).discard_rate > 0.2
+    with pytest.raises(RejectionBudgetExceeded):
+        simulate_risk(EstimatorKind.PRESENT, skewed, 12, None, tight)
+
+
+def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
+    cfg = SimulationConfig(replications=MEMO_REPS, seed=9)
+    want = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg)
+    assert montecarlo._memo is not None
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", 0)
+    present_draws.clear()
+    for workers in (1, 2):
+        assert simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg,
+                             workers) == want
+        assert montecarlo._memo is None
+    assert len(present_draws) == 8
+
+
+def test_concurrent_callers_with_different_keys_get_serial_results():
+    """User threads that share the memo, with different keys or with one
+    key at different n*, each get what they get alone."""
+    calls = [
+        (EstimatorKind.PRIOR, 60, 300, 1),
+        (EstimatorKind.POOLED, 60, 900, 1),
+        (EstimatorKind.POOLED, 60, 300, 2),
+        (EstimatorKind.PRESENT, 200, None, 1),
+    ]
+
+    def call(kind, n, n_star, seed):
+        cfg = SimulationConfig(replications=2 * BLOCK_SIZE + 7, seed=seed)
+        return simulate_risk(kind, BREAST_CANCER, n, n_star, cfg, workers=2)
+
+    want = []
+    for args in calls:
+        _forget_draws()
+        want.append(call(*args))
+
+    got: list[list] = [[] for _ in calls]
+    start = threading.Barrier(len(calls))
+
+    def worker(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(call(*calls[i]))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [[w] * 3 for w in want]
