@@ -17,8 +17,6 @@ from __future__ import annotations
 from .asymptotics import (
     RiskApproximation,
     risk_app,
-    risk_app_closed_form,
-    risk_full_model,
     risk_gap_present_pooled,
     risk_gap_present_prior,
 )
@@ -114,8 +112,6 @@ __all__ = [
     "kl_divergence",
     "required_sample_size",
     "risk_app",
-    "risk_app_closed_form",
-    "risk_full_model",
     "risk_gap_present_pooled",
     "risk_gap_present_prior",
     "sample_surveys",

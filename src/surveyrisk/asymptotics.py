@@ -45,15 +45,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, MissingNStar
+from .errors import MissingNStar
 from .estimators import EstimatorKind
 from .model import DerivedQuantities, as_int
 
 __all__ = [
     "RiskApproximation",
-    "risk_full_model",
     "risk_app",
-    "risk_app_closed_form",
     "risk_gap_present_prior",
     "risk_gap_present_pooled",
 ]
@@ -73,17 +71,6 @@ class RiskApproximation:
     kind: EstimatorKind
     n: int
     n_star: int | None
-
-
-def risk_full_model(p: int, M: float, n: int) -> float:
-    """Truncated MLE risk of a flat (one-stage) multinomial model."""
-    p, n = as_int(p, "p"), as_int(n, "n")
-    bound = float(p + 1) ** 2
-    if M < bound * (1.0 - 1e-12):
-        raise DomainError(
-            f"M={M!r} is below the Cauchy-Schwarz floor (p+1)^2={bound!r}"
-        )
-    return p / (2.0 * n) + (M - 1.0) / (12.0 * n * n)
 
 
 def _first_stage(
@@ -119,8 +106,8 @@ def risk_app(
         n_star = as_int(n_star, "n_star")
     N, w = _first_stage(kind, n, n_star)
     if kind is EstimatorKind.PRESENT:
-        # one division of p' = I-1+S: (I-1)/(2n) + S/(2n) rounds differently
-        first = dq.p_prime / (2.0 * n)
+        # one division of p = I-1+S: (I-1)/(2n) + S/(2n) rounds differently
+        first = dq.p_total / (2.0 * n)
     else:
         first = (dq.marginals.size - 1) / (2.0 * N) + float(dq.s.sum()) / (2.0 * n)
     second = (dq.M_f - 1.0) / (12.0 * N * N) + math.fsum(
@@ -134,52 +121,6 @@ def risk_app(
         kind=kind,
         n=n,
         n_star=n_star,
-    )
-
-
-def risk_app_closed_form(
-    kind: EstimatorKind,
-    dq: DerivedQuantities,
-    n: int,
-    n_star: int | None = None,
-) -> float:
-    """Algebraically reduced risk expressions, valid only when every
-    second-stage model is full.
-
-    These are redundant with :func:`risk_app` by construction and exist as
-    an independent cross-check: the package asserts agreement to 1e-12 on
-    every build.
-    """
-    n = as_int(n, "n")
-    I = dq.marginals.size
-    p = dq.p_total
-    M, M_f = dq.M, dq.M_f
-    if kind is EstimatorKind.PRESENT:
-        return p / (2.0 * n) + (M - 1.0) / (12.0 * n * n)
-    if n_star is None:
-        raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-    n_star = as_int(n_star, "n_star")
-    J = dq.s + 1
-    if kind is EstimatorKind.PRIOR:
-        tail = M + math.fsum(
-            (6.0 * j - 7.0) / m for j, m in zip(J.tolist(), dq.marginals.tolist())
-        ) - 6.0 * (p + 1 - I)
-        return (
-            (I - 1) / (2.0 * n_star)
-            + (p + 1 - I) / (2.0 * n)
-            + (M_f - 1.0) / (12.0 * n_star * n_star)
-            + tail / (12.0 * n * n)
-        )
-    pooled = n + n_star
-    mix = math.fsum(
-        j / m for j, m in zip(J.tolist(), dq.marginals.tolist())
-    ) - M_f - (p - I + 1)
-    tail = M - M_f + 6.0 * n_star / pooled * mix
-    return (
-        (I - 1) / (2.0 * pooled)
-        + (p - I + 1) / (2.0 * n)
-        + (M_f - 1.0) / (12.0 * pooled * pooled)
-        + tail / (12.0 * n * n)
     )
 
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .asymptotics import risk_app
 from .datasets import BUNDLED_MODEL_NAMES, bundled_model
-from .errors import ParseError, SurveyRiskError
+from .errors import DomainError, ParseError, SurveyRiskError
 from .estimators import EstimatorKind
 from .model import SurveyCounts, TwoStageModel, build_model, derive
 from .montecarlo import SimulationConfig, simulate_risk
@@ -95,10 +95,11 @@ def _parse_named_model(text: str) -> tuple[str, TwoStageModel]:
     labels: list[str] = []
     groups: list[list[float]] = []
     for lineno, line in lines[2:]:
-        if not line.startswith("group"):
+        parts = line.split(None, 1)
+        if parts[0] != "group" or len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'group <label> : "
                              f"<p1> <p2> ...', got {line!r}")
-        body = line[len("group"):]
+        body = parts[1]
         if ":" not in body:
             raise ParseError(f"line {lineno}: group line is missing ':'")
         label, _, cells_text = body.partition(":")
@@ -122,11 +123,30 @@ def parse_model_text(text: str) -> TwoStageModel:
     return _parse_named_model(text)[1]
 
 
+def _writable(text: str) -> bool:
+    """Whether the grammar reads ``text`` back unchanged as a model name,
+    or as a group label if it also has no ':': it is nonempty, has no
+    surrounding whitespace (lines are stripped), no '#' (comments) and no
+    line break (``str.splitlines``)."""
+    return (text != "" and text == text.strip() and "#" not in text
+            and len(text.splitlines()) == 1)
+
+
 def dump_model_text(model: TwoStageModel, name: str) -> str:
     """Serialize; cells print with shortest round-trip precision, so a
-    reloaded dump is field-for-field identical."""
+    reloaded dump is field-for-field identical.
+
+    Raises DomainError for a model name or group label the grammar cannot
+    carry (see ``_writable``).
+    """
+    if not _writable(name):
+        raise DomainError(f"model name {name!r} cannot be written to a "
+                          f"model file")
     lines = [f"model {name}", "renormalize off"]
-    for label, cells in zip(model.labels, model.cells):
+    for i, (label, cells) in enumerate(zip(model.labels, model.cells)):
+        if not _writable(label) or ":" in label:
+            raise DomainError(f"group {i} label {label!r} cannot be written "
+                              f"to a model file")
         cell_text = " ".join(repr(float(x)) for x in cells)
         lines.append(f"group {label} : {cell_text}")
     return "\n".join(lines) + "\n"
@@ -253,12 +273,14 @@ def _cmd_risk(args) -> int:
         raise _UsageError(
             f"--estimator {args.estimator} needs --nstar"
         )
+    # the present estimator ignores n*, so its row leaves the field empty
+    n_star = args.nstar if needs_prior else None
     if args.method == "app":
-        rows = _risk_rows_app(args.model, model, kinds, args.n, args.nstar,
+        rows = _risk_rows_app(args.model, model, kinds, args.n, n_star,
                               args.precision)
     else:
         config = SimulationConfig(replications=args.reps, seed=args.seed)
-        rows = _risk_rows_sim(args.model, model, kinds, args.n, args.nstar,
+        rows = _risk_rows_sim(args.model, model, kinds, args.n, n_star,
                               config, args.threads, args.precision)
     _write_rows(rows)
     return 0

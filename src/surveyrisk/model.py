@@ -13,18 +13,15 @@ observes only the groups.  Everything downstream (risk expansions, the
 Monte Carlo engine, sample-size planning) consumes the scalars collected
 here:
 
-    p   = (sum_i J_i) - 1               dimension of the flat cell model
-    p'  = I - 1 + sum_i s_i             dimension of the two-stage model
-    M   = sum_ij 1/m_ij                 inverse-cell sum
+    p   = (sum_i J_i) - 1               dimension of the flat cell model,
+                                        equal to I - 1 + sum_i s_i
     M_f = sum_i 1/m_i.                  inverse-marginal sum
     A_i = 2 * sum_j 1/p_ij - 2          second-order coefficient of the
                                         i-th within-group MLE risk (full
                                         second-stage model)
 
 All probabilities must be strictly positive: the risk formulas contain
-1/m_ij terms and the KL loss is undefined against a zero truth.  Since
-every second-stage model here is full, p' equals p; both are kept because
-they enter different formulas.
+1/m_ij terms and the KL loss is undefined against a zero truth.
 
 Construction validates once; instances are frozen and their array fields
 are marked read-only, so they can be shared freely across threads.
@@ -113,8 +110,6 @@ class DerivedQuantities:
     conditionals: tuple[np.ndarray, ...]
     s: np.ndarray
     p_total: int
-    p_prime: int
-    M: float
     M_f: float
     A: np.ndarray
 
@@ -247,8 +242,6 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
     sizes = np.array(model.group_sizes, dtype=np.int64)
     s = sizes - 1
     p_total = int(sizes.sum()) - 1
-    p_prime = model.n_groups - 1 + int(s.sum())
-    M = math.fsum(1.0 / x for g in model.cells for x in g.tolist())
     M_f = math.fsum(1.0 / m for m in marginals.tolist())
     A = np.array(
         [2.0 * math.fsum(1.0 / p for p in c.tolist()) - 2.0 for c in conditionals]
@@ -258,8 +251,6 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
         conditionals=conditionals,
         s=_readonly(s),
         p_total=p_total,
-        p_prime=p_prime,
-        M=M,
         M_f=M_f,
         A=_readonly(A),
     )

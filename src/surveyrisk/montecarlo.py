@@ -341,7 +341,6 @@ def _block_losses(
                 gen.bit_generator.state)
 
     totals, cells, discarded, state = draws.present(block_index, present)
-    totals_rep = np.repeat(totals.astype(np.int64), sizes, axis=1)
     # cells stay narrow: each product below meets an int64 operand, which
     # widens them to the same int64 values, and a division gives float64
 
@@ -357,6 +356,7 @@ def _block_losses(
 
         xstar = draws.prior(block_index, n_star, prior).astype(np.int64)
         xstar_rep = np.repeat(xstar, sizes, axis=1)
+        totals_rep = np.repeat(totals.astype(np.int64), sizes, axis=1)
         if kind is EstimatorKind.PRIOR:
             est = (xstar_rep * cells) / (n_star * totals_rep)
         else:  # POOLED

@@ -15,12 +15,15 @@ from surveyrisk import (
     bundled_model,
     derive,
     risk_app,
-    risk_app_closed_form,
-    risk_full_model,
     risk_gap_present_pooled,
     risk_gap_present_prior,
 )
-from helpers import random_model
+from helpers import (
+    inverse_cell_sum,
+    random_model,
+    risk_app_closed_form,
+    risk_full_model,
+)
 
 UNIFORM = derive(bundled_model("example1-uniform100x2"))
 
@@ -88,13 +91,14 @@ def test_closed_forms_match_general_expansions():
     general expansions are the same polynomial in 1/n, 1/n*."""
     rng = np.random.default_rng(11)
     for _ in range(100):
-        dq = derive(random_model(rng))
+        model = random_model(rng)
+        dq = derive(model)
         n = int(rng.integers(10, 5000))
         n_star = int(rng.integers(10, 5000))
         for kind in EstimatorKind:
             ns = None if kind is EstimatorKind.PRESENT else n_star
             a = risk_app(kind, dq, n, ns).total
-            b = risk_app_closed_form(kind, dq, n, ns)
+            b = risk_app_closed_form(kind, model, n, ns)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -103,10 +107,11 @@ def test_present_closed_form_equals_full_model_formula():
     expansion collapses to the single-multinomial formula."""
     rng = np.random.default_rng(13)
     for _ in range(50):
-        dq = derive(random_model(rng))
+        model = random_model(rng)
+        dq = derive(model)
         n = int(rng.integers(10, 3000))
         a = risk_app(EstimatorKind.PRESENT, dq, n).total
-        b = risk_full_model(int(dq.p_total), float(dq.M), n)
+        b = risk_full_model(int(dq.p_total), inverse_cell_sum(model), n)
         assert math.isclose(a, b, rel_tol=1e-12)
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from surveyrisk import ParseError, bundled_model
+from surveyrisk import DomainError, ParseError, build_model, bundled_model
 from surveyrisk.cli import (
+    _parse_named_model,
     dump_model_text,
     load_model,
     parse_counts_text,
@@ -51,6 +54,16 @@ def test_parse_model_errors_carry_line_numbers():
         parse_model_text(MODEL_TEXT.replace("0.25 0.25\n", "0.25 zero\n", 1))
 
 
+def test_group_keyword_is_its_own_token():
+    """``groupies : 1 2`` once loaded as a group labelled ``ies``."""
+    with pytest.raises(ParseError, match="line 5"):
+        parse_model_text(MODEL_TEXT.replace("group first  :", "groupies :"))
+    with pytest.raises(ParseError, match="line 6"):
+        parse_model_text(MODEL_TEXT.replace("group second :", "group:"))
+    tabbed = parse_model_text(MODEL_TEXT.replace("group first ", "group\tfirst"))
+    assert tabbed == parse_model_text(MODEL_TEXT)
+
+
 def test_parse_counts_text():
     c = parse_counts_text(COUNTS_TEXT)
     assert c.present == ((2, 2), (3, 3))
@@ -75,6 +88,61 @@ def test_dump_and_reload_round_trip():
     text = dump_model_text(m, "example2-breast-cancer")
     again = parse_model_text(text)
     assert again == m  # field-for-field, bit-exact cells
+
+
+@pytest.mark.parametrize("label", ["a#b", "a:b", "", " a", "a\nb", "a\u2028b"])
+def test_dump_refuses_a_label_the_grammar_cannot_carry(label):
+    m = build_model([[0.5], [0.25, 0.25]], labels=["ok", label])
+    with pytest.raises(DomainError, match="group 1"):
+        dump_model_text(m, "toy")
+
+
+@pytest.mark.parametrize("name", ["", "a#b", " a", "a\rb"])
+def test_dump_refuses_a_name_the_grammar_cannot_carry(name):
+    with pytest.raises(DomainError, match="model name"):
+        dump_model_text(bundled_model("example2-breast-cancer"), name)
+
+
+# three in four texts are letters and digits only, which always round-trip;
+# the rest mix in whitespace, line breaks, '#' and ':'
+_PLAIN = st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=5)
+_TRICKY = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028#:")
+_WILD = st.text(st.one_of(_TRICKY, st.characters()), max_size=5)
+_TEXT = st.sampled_from([_PLAIN, _PLAIN, _PLAIN, _WILD]).flatmap(lambda t: t)
+
+
+@st.composite
+def _labelled_models(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    cells = [draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
+             for k in sizes]
+    labels = draw(st.lists(_TEXT, min_size=len(sizes), max_size=len(sizes)))
+    return build_model(cells, renormalize=True, labels=labels)
+
+
+# Hypothesis's pytest plugin imports libcst to report a failing example,
+# and that import warns; without this filter the warning would abort the
+# session instead of reporting the failure
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_labelled_models(), _TEXT)
+@example(build_model([[0.5], [0.5]], labels=["a b", "c\td"]), "x:y")
+def test_dump_reloads_to_the_same_model_or_refuses(model, name):
+    """Either the dump parses back to the same name and model, or it
+    raises DomainError and the unchecked text would not have."""
+    try:
+        text = dump_model_text(model, name)
+    except DomainError:
+        naive = f"model {name}\nrenormalize off\n" + "".join(
+            f"group {label} : {' '.join(map(repr, cells.tolist()))}\n"
+            for label, cells in zip(model.labels, model.cells))
+        try:
+            assert _parse_named_model(naive) != (name, model)
+        except ParseError:
+            pass
+    else:
+        assert _parse_named_model(text) == (name, model)
 
 
 def test_load_model_resolves_bundled_names_and_paths(tmp_path):
@@ -104,6 +172,20 @@ def test_risk_single_estimator_leaves_other_columns_empty(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[1] == "example1-uniform100x2,app,200,,0.580831,,"
+
+
+@pytest.mark.parametrize("method", ["app", "sim"])
+def test_risk_present_row_ignores_nstar(method, capsys):
+    """The present estimator does not use n*, so the row leaves the nstar
+    field empty whether or not the flag is given."""
+    args = ["risk", "--model", "example2-breast-cancer", "--estimator",
+            "present", "--method", method, "--n", "200", "--reps", "64"]
+    assert run(args) == 0
+    without = capsys.readouterr().out
+    assert run(args + ["--nstar", "600"]) == 0
+    assert capsys.readouterr().out == without
+    assert without.splitlines()[1].startswith("example2-breast-cancer,"
+                                              f"{method},200,,")
 
 
 def test_risk_sim_csv_embeds_provenance(capsys):

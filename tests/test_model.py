@@ -18,6 +18,7 @@ from surveyrisk import (
     derive,
 )
 from surveyrisk import EstimatorKind, estimate
+from helpers import inverse_cell_sum
 
 
 def test_build_model_accepts_normalized_cells():
@@ -78,23 +79,26 @@ def test_model_equality_is_by_value():
 
 def test_derive_uniform_two_group_model():
     """Hand-checkable derived quantities on the 2x2 uniform model."""
-    dq = derive(build_model([[0.25, 0.25], [0.25, 0.25]]))
+    m = build_model([[0.25, 0.25], [0.25, 0.25]])
+    dq = derive(m)
     np.testing.assert_array_equal(dq.marginals, [0.5, 0.5])
     np.testing.assert_array_equal(dq.conditionals[0], [0.5, 0.5])
     np.testing.assert_array_equal(dq.s, [1, 1])
     assert dq.p_total == 3
-    assert dq.p_prime == 3
-    assert dq.M == 16.0
+    # two-stage dimension I - 1 + sum_i s_i
+    assert dq.marginals.size - 1 + int(dq.s.sum()) == 3
+    assert inverse_cell_sum(m) == 16.0
     assert dq.M_f == 4.0
     # second-stage coefficient: 2 * (2 + 2) - 2 per group
     np.testing.assert_array_equal(dq.A, [6.0, 6.0])
 
 
 def test_derive_bundled_uniform_model():
-    dq = derive(bundled_model("example1-uniform100x2"))
+    m = bundled_model("example1-uniform100x2")
+    dq = derive(m)
     assert dq.p_total == 199
-    assert dq.p_prime == 199
-    assert dq.M == 40000.0
+    assert dq.marginals.size - 1 + int(dq.s.sum()) == 199
+    assert inverse_cell_sum(m) == 40000.0
     assert dq.M_f == 4.0
     np.testing.assert_allclose(dq.A, 19998.0, rtol=0, atol=1e-9)
 
@@ -105,7 +109,7 @@ def test_derive_singleton_groups():
     np.testing.assert_array_equal(dq.s, [0, 0])
     np.testing.assert_array_equal(dq.A, [0.0, 0.0])
     assert dq.p_total == 1
-    assert dq.p_prime == 1
+    assert dq.marginals.size - 1 + int(dq.s.sum()) == 1
 
 
 def test_survey_counts_validation():

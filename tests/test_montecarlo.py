@@ -29,8 +29,6 @@ from surveyrisk import (
     discard_probability,
     required_sample_size,
     risk_app,
-    risk_app_closed_form,
-    risk_full_model,
     risk_gap_present_pooled,
     risk_gap_present_prior,
     sample_surveys,
@@ -38,6 +36,7 @@ from surveyrisk import (
 )
 from surveyrisk import montecarlo
 from surveyrisk.montecarlo import _binom_inverse
+from helpers import inverse_cell_sum, risk_app_closed_form, risk_full_model
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
 BREAST_CANCER = bundled_model("example2-breast-cancer")
@@ -128,7 +127,7 @@ def test_singleton_groups_match_one_stage_formula():
     """With one cell per group only the first stage exists, and the mean
     loss must track the flat-multinomial risk formula."""
     m = build_model([[0.3], [0.7]])
-    app = risk_full_model(p=1, M=float(derive(m).M), n=2000)
+    app = risk_full_model(p=1, M=inverse_cell_sum(m), n=2000)
     cfg = SimulationConfig(replications=200_000, seed=3)
     r = simulate_risk(EstimatorKind.PRESENT, m, 2000, None, cfg)
     assert abs(r.mean_loss - app) <= 3.0 * r.std_error + 1e-7
@@ -298,12 +297,12 @@ def test_fractional_or_bool_sizes_are_refused(bad):
         with pytest.raises(DomainError):
             risk_app(kind, dq, bad, 600)
         with pytest.raises(DomainError):
-            risk_app_closed_form(kind, dq, bad, 600)
+            risk_app_closed_form(kind, BREAST_CANCER, bad, 600)
     for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
         with pytest.raises(DomainError):
             risk_app(kind, dq, 200, bad)
         with pytest.raises(DomainError):
-            risk_app_closed_form(kind, dq, 200, bad)
+            risk_app_closed_form(kind, BREAST_CANCER, 200, bad)
     with pytest.raises(DomainError):
         risk_full_model(bad, 1e4, 200)
     with pytest.raises(DomainError):
@@ -355,7 +354,8 @@ def test_expansion_limits_other_than_the_prior_floor_are_refused():
     with pytest.raises(DomainError):
         risk_app(EstimatorKind.PRESENT, dq, math.inf)
     with pytest.raises(DomainError):
-        risk_app_closed_form(EstimatorKind.PRIOR, dq, 200, math.inf)
+        risk_app_closed_form(EstimatorKind.PRIOR, BREAST_CANCER, 200,
+                             math.inf)
 
 
 def test_numpy_integer_sizes_match_python_ints():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import surveyrisk
+from surveyrisk import errors
 
 PACKAGE = Path(surveyrisk.__file__).parent
 
@@ -52,3 +55,20 @@ def test_one_module_decides_what_an_integer_size_is():
     users = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if _uses_operator_index(path)]
     assert users == ["model.py"]
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    """The package re-exports every library module's ``__all__`` and
+    nothing else, so a name removed from a module cannot linger in the
+    package's export list, nor a new one be left out of it.  ``cli`` is
+    the command line, imported as ``surveyrisk.cli``; ``errors`` has no
+    ``__all__``, and its exception classes are its public names."""
+    modules = [importlib.import_module(f"surveyrisk.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if not path.stem.startswith("_") and path.stem != "cli"]
+    public = {name for module in modules
+              for name in getattr(module, "__all__", ())}
+    public |= {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, Exception)
+               and value.__module__ == errors.__name__}
+    assert set(surveyrisk.__all__) - {"__version__"} == public
