@@ -67,7 +67,7 @@ class RejectionBudgetExceeded(SurveyRiskError):
     """A replication exceeded the allowed number of discarded samples.
 
     This signals that n is deep in the small-sample regime where some group
-    is almost never observed; increase n or the budget.
+    is almost never observed; increase n.
     """
 
 

@@ -44,18 +44,18 @@ at disjoint indices.
 
 Memo of present draws.  A block's present surveys and the Philox state
 after them depend only on (model cells, group sizes, n, seed,
-replications, rejection budget), never on the kind, n* or ``workers``.
-The module keeps one slot of them under that key: per block the totals,
-the cells, the discard count and that state, so a prior draw continues
-the same stream; and the prior counts for the most recent n* only, so a
-prior and a pooled call at the same (n, n*) draw them once.  Counts are
-stored read-only in the smallest of uint8, uint16, uint32 and int64 that
-holds their sum.  Totals and prior counts are widened to int64 when
-read, and cells meet an int64 operand in every product, so the int64
-estimates are exactly what they were.  A call with another key replaces
-the slot; a call whose counts would exceed ``_MEMO_CAP_BYTES`` keeps
-nothing and releases it.  A hit returns exactly what a fresh draw would,
-so results do not change.
+replications), never on the kind, n* or ``workers``.  The module keeps
+one slot under that key, an object that draws its own blocks and keeps,
+per block, the totals, the cells, the discard count and that state, so a
+prior draw continues the same stream; and the prior counts for the most
+recent n* only, so a prior and a pooled call at the same (n, n*) draw
+them once.  Counts are stored read-only in the smallest of uint8,
+uint16, uint32 and int64 that holds their sum.  Totals and prior counts
+are widened to int64 when read, and cells meet an int64 operand in every
+product, so the int64 estimates are exactly what they were.  A call with
+another key replaces the slot; a call whose counts would exceed
+``_MEMO_CAP_BYTES`` keeps nothing and releases it.  A hit returns
+exactly what a fresh draw would, so results do not change.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ __all__ = [
 #: results change if this changes
 BLOCK_SIZE = 4096
 
-#: draws one replication may discard before the run gives up, unless a
-#: SimulationConfig sets its own budget
+#: draws one replication may discard before the run gives up; read when
+#: each block draws
 _MAX_REJECTIONS = 10**6
 
 #: bytes of counts the memo of present draws may hold; a call that
@@ -106,7 +106,6 @@ class SimulationConfig:
 
     replications: int
     seed: int = 0
-    max_rejections_per_rep: int = _MAX_REJECTIONS
 
     def __post_init__(self) -> None:
         seed = as_int(self.seed, "seed", least=0)
@@ -116,9 +115,6 @@ class SimulationConfig:
         vars(self).update(
             replications=as_int(self.replications, "replications"),
             seed=seed,
-            max_rejections_per_rep=as_int(
-                self.max_rejections_per_rep, "max_rejections_per_rep"
-            ),
         )
 
 
@@ -161,7 +157,6 @@ def _draw_present(
     dq: DerivedQuantities,
     n: int,
     rows: int,
-    max_rejections: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Group totals and cells for ``rows`` replications, discard rule applied.
 
@@ -176,9 +171,9 @@ def _draw_present(
             break
         rejections[bad] += 1
         worst = int(rejections.max())
-        if worst > max_rejections:
+        if worst > _MAX_REJECTIONS:
             raise RejectionBudgetExceeded(
-                f"a replication discarded more than {max_rejections} draws "
+                f"a replication discarded more than {_MAX_REJECTIONS} draws "
                 f"at n={n}; some group is almost never observed at this size"
             )
         discarded += int(bad.size)
@@ -261,50 +256,64 @@ def _draw_prior(
 
 
 class _Draws:
-    """One key's draws, per block: a present entry is (totals, cells,
-    discarded, Philox state after the present draw), a prior entry is
-    (n*, prior counts).  Each entry is replaced whole, so threads
-    that share the object never see half of one.  With ``keep`` false
-    nothing is stored and every block draws afresh.
+    """The draws of one key (model cells, group sizes, n, config), made
+    block by block on demand: per block a present entry (totals, cells,
+    discarded, Philox state after the present draw) and a prior entry
+    (n*, prior counts).  Each entry is replaced whole, so threads that
+    share the object never see half of one.  With ``keep`` false nothing
+    is stored and every block draws afresh.
     """
 
-    def __init__(self, key: tuple, n_blocks: int, keep: bool = True) -> None:
+    def __init__(self, key: tuple, dq: DerivedQuantities, keep: bool = True) -> None:
         self.key = key
+        _, _, self.n, self.config = key
+        self.dq = dq
         self.keep = keep
+        n_blocks = -(-self.config.replications // BLOCK_SIZE)
         self._present: list[tuple | None] = [None] * n_blocks
         self._prior: list[tuple | None] = [None] * n_blocks
 
-    def present(self, b: int, draw) -> tuple:
-        entry = self._present[b]
-        if entry is None:
-            entry = draw()
+    def block(self, b: int, n_star: int | None) -> tuple:
+        """(totals, cells, discarded, prior counts) of block b; the prior
+        counts are drawn after the present surveys, and are None when
+        ``n_star`` is."""
+        rows = min(BLOCK_SIZE, self.config.replications - b * BLOCK_SIZE)
+        present = self._present[b]
+        if present is None:
+            gen = _block_generator(self.config.seed, b)
+            totals, cells, discarded = _draw_present(gen, self.dq, self.n, rows)
+            present = (_narrow(totals, self.n), _narrow(cells, self.n),
+                       discarded, gen.bit_generator.state)
             if self.keep:
-                self._present[b] = entry
-        return entry
-
-    def prior(self, b: int, n_star: int, draw) -> np.ndarray:
-        entry = self._prior[b]
-        if entry is None or entry[0] != n_star:
-            entry = (n_star, draw())
+                self._present[b] = present
+        *surveys, state = present
+        if n_star is None:
+            return (*surveys, None)
+        prior = self._prior[b]
+        if prior is None or prior[0] != n_star:
+            gen = _block_generator(self.config.seed, b)
+            gen.bit_generator.state = state
+            prior = (n_star, _narrow(
+                _draw_prior(gen, self.dq.marginals, n_star, rows), n_star))
             if self.keep:
-                self._prior[b] = entry
-        return entry[1]
+                self._prior[b] = prior
+        return (*surveys, prior[1])
 
 
 _memo: _Draws | None = None
 _memo_lock = threading.Lock()
 
 
-def _memo_slot(key: tuple, n_blocks: int, nbytes: int) -> _Draws:
+def _memo_slot(key: tuple, dq: DerivedQuantities, nbytes: int) -> _Draws:
     """The memo slot for ``key``, made afresh when the key changes; over
     the cap, a slot that keeps nothing, and the module slot is released."""
     global _memo
     with _memo_lock:
         if nbytes > _MEMO_CAP_BYTES:
             _memo = None
-            return _Draws(key, n_blocks, keep=False)
+            return _Draws(key, dq, keep=False)
         if _memo is None or _memo.key != key:
-            _memo = _Draws(key, n_blocks)
+            _memo = _Draws(key, dq)
         return _memo
 
 
@@ -323,39 +332,20 @@ def _narrow(counts: np.ndarray, total: int) -> np.ndarray:
 
 def _block_losses(
     kind: EstimatorKind,
-    dq: DerivedQuantities,
+    draws: _Draws,
+    b: int,
     truth: np.ndarray,
     sizes: tuple[int, ...],
-    n: int,
     n_star: int | None,
-    seed: int,
-    block_index: int,
-    rows: int,
-    max_rejections: int,
-    draws: _Draws,
 ) -> tuple[np.ndarray, int]:
-    def present() -> tuple:
-        gen = _block_generator(seed, block_index)
-        totals, cells, discarded = _draw_present(gen, dq, n, rows, max_rejections)
-        return (_narrow(totals, n), _narrow(cells, n), discarded,
-                gen.bit_generator.state)
-
-    totals, cells, discarded, state = draws.present(block_index, present)
+    totals, cells, discarded, xstar = draws.block(b, n_star)
+    n = draws.n
     # cells stay narrow: each product below meets an int64 operand, which
     # widens them to the same int64 values, and a division gives float64
-
     if kind is EstimatorKind.PRESENT:
         est = cells / float(n)
     else:
-        assert n_star is not None
-
-        def prior() -> np.ndarray:
-            gen = _block_generator(seed, block_index)
-            gen.bit_generator.state = state
-            return _narrow(_draw_prior(gen, dq.marginals, n_star, rows), n_star)
-
-        xstar = draws.prior(block_index, n_star, prior).astype(np.int64)
-        xstar_rep = np.repeat(xstar, sizes, axis=1)
+        xstar_rep = np.repeat(xstar.astype(np.int64), sizes, axis=1)
         totals_rep = np.repeat(totals.astype(np.int64), sizes, axis=1)
         if kind is EstimatorKind.PRIOR:
             est = (xstar_rep * cells) / (n_star * totals_rep)
@@ -412,17 +402,11 @@ def simulate_risk(
     nbytes = reps * width * _count_dtype(n).itemsize
     if n_star is not None:
         nbytes += reps * len(sizes) * _count_dtype(n_star).itemsize
-    draws = _memo_slot((truth.tobytes(), sizes, n, config), n_blocks, nbytes)
+    draws = _memo_slot((truth.tobytes(), sizes, n, config), dq, nbytes)
 
     def run_block(b: int) -> None:
-        start = b * BLOCK_SIZE
-        rows = min(BLOCK_SIZE, reps - start)
-        block, discarded = _block_losses(
-            kind, dq, truth, sizes, n, n_star, config.seed, b, rows,
-            config.max_rejections_per_rep, draws,
-        )
-        losses[start:start + rows] = block
-        discards[b] = discarded
+        block, discards[b] = _block_losses(kind, draws, b, truth, sizes, n_star)
+        losses[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
 
     if workers == 1 or n_blocks == 1:
         for b in range(n_blocks):
@@ -460,12 +444,12 @@ def sample_surveys(
     engine's own prior sampler.  As in :func:`simulate_risk`, a size that
     is not an integer raises DomainError and n below the number of groups
     raises RejectionBudgetExceeded, both before drawing; the rejection
-    budget is SimulationConfig's default.
+    budget is the engine's.
     """
     n = _check_present_size(n, model)
     n_star = as_int(n_star, "n_star", least=0)
     dq = derive(model)
-    _, cells, discarded = _draw_present(rng, dq, n, 1, _MAX_REJECTIONS)
+    _, cells, discarded = _draw_present(rng, dq, n, 1)
     bounds = np.cumsum(model.group_sizes)[:-1]
     present = tuple(tuple(row) for row in np.split(cells[0], bounds))
     prior = None

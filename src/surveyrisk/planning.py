@@ -293,6 +293,8 @@ def advise_from_marginals(
     if len(marginals) < 2:
         raise ShapeError("need at least 2 groups")
     for i, m in enumerate(marginals):
+        if not math.isfinite(m):
+            raise DomainError(f"plug-in marginal for group {i} is {m!r}, not finite")
         if m <= 0.0:
             raise ZeroGroupCount(
                 f"plug-in marginal for group {i} is {m!r}; cannot evaluate "

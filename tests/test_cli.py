@@ -120,11 +120,6 @@ def _labelled_models(draw):
     return build_model(cells, renormalize=True, labels=labels)
 
 
-# Hypothesis's pytest plugin imports libcst to report a failing example,
-# and that import warns; without this filter the warning would abort the
-# session instead of reporting the failure
-@pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_labelled_models(), _TEXT)
 @example(build_model([[0.5], [0.5]], labels=["a b", "c\td"]), "x:y")

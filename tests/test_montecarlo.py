@@ -9,10 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from surveyrisk import (
     BLOCK_SIZE,
+    BUNDLED_MODEL_NAMES,
     DomainError,
     EstimatorKind,
     MissingNStar,
@@ -27,6 +30,8 @@ from surveyrisk import (
     bundled_model,
     derive,
     discard_probability,
+    estimate,
+    kl_divergence,
     required_sample_size,
     risk_app,
     risk_gap_present_pooled,
@@ -45,8 +50,6 @@ BREAST_CANCER = bundled_model("example2-breast-cancer")
 def test_config_validation():
     with pytest.raises(DomainError):
         SimulationConfig(replications=0)
-    with pytest.raises(DomainError):
-        SimulationConfig(replications=10, max_rejections_per_rep=0)
     with pytest.raises(DomainError):
         SimulationConfig(replications=10, seed=-1)
 
@@ -133,9 +136,11 @@ def test_singleton_groups_match_one_stage_formula():
     assert abs(r.mean_loss - app) <= 3.0 * r.std_error + 1e-7
 
 
-def test_rejection_budget_is_enforced():
+def test_rejection_budget_is_enforced(monkeypatch):
     skewed = build_model([[0.499, 0.499], [0.001, 0.001]])
-    cfg = SimulationConfig(replications=64, seed=1, max_rejections_per_rep=3)
+    cfg = SimulationConfig(replications=64, seed=1)
+    monkeypatch.setattr(montecarlo, "_memo", None)
+    monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", 3)
     with pytest.raises(RejectionBudgetExceeded):
         simulate_risk(EstimatorKind.PRESENT, skewed, 5, None, cfg)
 
@@ -289,8 +294,6 @@ def test_fractional_or_bool_sizes_are_refused(bad):
                       workers=bad)
     with pytest.raises(DomainError):
         SimulationConfig(replications=bad)
-    with pytest.raises(DomainError):
-        SimulationConfig(replications=16, max_rejections_per_rep=bad)
 
     dq = derive(BREAST_CANCER)
     for kind in EstimatorKind:
@@ -370,12 +373,9 @@ def test_numpy_integer_sizes_match_python_ints():
 def test_numpy_integers_match_python_ints_at_every_entry_point():
     """numpy integers are accepted wherever a size is, give bitwise the
     same results, and are stored as Python ints."""
-    cfg = SimulationConfig(replications=np.int64(300), seed=np.uint64(4),
-                           max_rejections_per_rep=np.int32(50))
-    assert cfg == SimulationConfig(replications=300, seed=4,
-                                   max_rejections_per_rep=50)
-    assert all(type(v) is int for v in
-               (cfg.replications, cfg.seed, cfg.max_rejections_per_rep))
+    cfg = SimulationConfig(replications=np.int64(300), seed=np.uint64(4))
+    assert cfg == SimulationConfig(replications=300, seed=4)
+    assert all(type(v) is int for v in (cfg.replications, cfg.seed))
     big = SimulationConfig(replications=16, seed=np.uint64(2**64 - 1))
     assert type(big.seed) is int and big.seed == 2**64 - 1
     want = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300,
@@ -490,17 +490,6 @@ def test_changing_any_memo_key_field_draws_afresh(present_draws):
             assert len(present_draws) == 2
 
 
-def test_smaller_rejection_budget_still_raises_after_a_hit(present_draws):
-    skewed = build_model([[0.45, 0.45], [0.05, 0.05]])
-    roomy = SimulationConfig(replications=2000, seed=1)
-    tight = SimulationConfig(replications=2000, seed=1, max_rejections_per_rep=1)
-    simulate_risk(EstimatorKind.PRIOR, skewed, 12, 30, roomy)
-    assert simulate_risk(EstimatorKind.PRESENT, skewed, 12, None, roomy
-                         ).discard_rate > 0.2
-    with pytest.raises(RejectionBudgetExceeded):
-        simulate_risk(EstimatorKind.PRESENT, skewed, 12, None, tight)
-
-
 def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
     cfg = SimulationConfig(replications=MEMO_REPS, seed=9)
     want = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg)
@@ -547,3 +536,68 @@ def test_concurrent_callers_with_different_keys_get_serial_results():
     for t in threads:
         t.join()
     assert got == [[w] * 3 for w in want]
+
+
+def test_engine_loss_is_the_library_loss():
+    """The engine's vectorized estimates and losses are the library's:
+    each replication's counts, rebuilt from the memo's draws, give through
+    ``estimate`` and ``kl_divergence`` a mean and standard error equal to
+    the engine's to the bit, discarded draws included."""
+    for name in BUNDLED_MODEL_NAMES:
+        model = bundled_model(name)
+        n = 60 if name == "example2-breast-cancer" else 200
+        truth = model.flat()
+        bounds = np.cumsum(model.group_sizes)[:-1]
+        cfg = SimulationConfig(replications=300, seed=3)
+        for kind in EstimatorKind:
+            n_star = None if kind is EstimatorKind.PRESENT else 600
+            _forget_draws()
+            r = simulate_risk(kind, model, n, n_star, cfg)
+            draws = montecarlo._memo
+            losses, discarded = [], 0
+            for b in range(-(-cfg.replications // BLOCK_SIZE)):
+                _, cells, d, prior = draws.block(b, n_star)
+                discarded += d
+                for i, row in enumerate(cells.tolist()):
+                    counts = SurveyCounts(
+                        present=tuple(map(tuple, np.split(row, bounds))),
+                        prior=None if prior is None else prior[i].tolist())
+                    losses.append(kl_divergence(estimate(kind, counts).flat(),
+                                                truth))
+            losses = np.array(losses)
+            assert r.mean_loss == float(np.sum(losses) / losses.size)
+            assert r.std_error == float(np.std(losses, ddof=1)
+                                        / math.sqrt(losses.size))
+            assert r.discard_rate == discarded / (discarded + losses.size)
+            if name == "example2-breast-cancer":
+                assert discarded > 0
+
+
+@st.composite
+def _engine_cases(draw):
+    """A model of 2-5 groups of 1-4 cells, n from I to 60, n* and seed.
+
+    Group and cell weights lie in 1..4, so no group marginal is below
+    1/17 and the discard loop stays short even at n = I."""
+    layout = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    cells = [[draw(st.integers(1, 4)) * draw(st.integers(1, 4))
+              for _ in range(k)] for k in layout]
+    model = build_model(cells, renormalize=True)
+    n = draw(st.integers(len(layout), 60))
+    return model, n, draw(st.integers(1, 200)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(_engine_cases())
+def test_workers_and_memo_do_not_change_results_on_random_models(case):
+    """Workers 1 and 3, each on an empty memo and again on the memo it
+    left, give equal estimates for every kind, over two blocks."""
+    model, n, n_star, seed = case
+    cfg = SimulationConfig(replications=BLOCK_SIZE + 1, seed=seed)
+    for kind in EstimatorKind:
+        got = []
+        for workers in (1, 3):
+            _forget_draws()
+            for _ in range(2):
+                got.append(simulate_risk(kind, model, n, n_star, cfg, workers))
+        assert got[1:] == got[:1] * 3

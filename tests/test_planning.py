@@ -372,6 +372,15 @@ def test_advise_error_paths():
         advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, stage="nope")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stage", ["post", "plan"])
+def test_non_finite_plug_in_marginals_are_refused(bad, stage):
+    """A NaN or infinite marginal once gave a NaN or meaningless statistic
+    and a decision; it is refused, naming the group."""
+    with pytest.raises(DomainError, match="group 0"):
+        advise_from_marginals((3, 3), [bad, 0.5], 100, 100, stage)
+
+
 def test_advisor_group_sizes_are_integers():
     """A fractional or bool group size is refused rather than truncated,
     numpy integers give the same statistic, and a zero-cell group is still
