@@ -14,107 +14,23 @@ expected to help (``advise``).
 
 from __future__ import annotations
 
-from .asymptotics import (
-    RiskApproximation,
-    risk_app,
-    risk_gap_present_pooled,
-    risk_gap_present_prior,
-)
-from .datasets import BUNDLED_MODEL_NAMES, bundled_model
-from .divergence import (
-    ChainRuleBreakdown,
-    ProbabilityEstimate,
-    chain_rule,
-    kl_divergence,
-)
-from .errors import (
-    DomainError,
-    MissingNStar,
-    MissingPriorCounts,
-    NonPositiveCell,
-    NotNormalized,
-    ParseError,
-    RejectionBudgetExceeded,
-    ShapeError,
-    SimulationNoise,
-    SurveyRiskError,
-    Unattainable,
-    ZeroGroupCount,
-    ZeroTruth,
-)
-from .estimators import EstimatorKind, estimate
-from .model import (
-    DerivedQuantities,
-    SurveyCounts,
-    TwoStageModel,
-    build_model,
-    derive,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    RiskEstimate,
-    SimulationConfig,
-    discard_probability,
-    sample_surveys,
-    simulate_risk,
-)
-from .planning import (
-    AdviceContext,
-    Decision,
-    Recommendation,
-    RssKind,
-    RssQuery,
-    advise,
-    advise_from_marginals,
-    required_sample_size,
-)
+from . import (asymptotics, datasets, divergence, errors, estimators, model,
+               montecarlo, planning)
+from .asymptotics import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .divergence import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .model import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .planning import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdviceContext",
-    "BLOCK_SIZE",
-    "BUNDLED_MODEL_NAMES",
-    "ChainRuleBreakdown",
-    "Decision",
-    "DerivedQuantities",
-    "DomainError",
-    "EstimatorKind",
-    "MissingNStar",
-    "MissingPriorCounts",
-    "NonPositiveCell",
-    "NotNormalized",
-    "ParseError",
-    "ProbabilityEstimate",
-    "Recommendation",
-    "RejectionBudgetExceeded",
-    "RiskApproximation",
-    "RiskEstimate",
-    "RssKind",
-    "RssQuery",
-    "ShapeError",
-    "SimulationConfig",
-    "SimulationNoise",
-    "SurveyCounts",
-    "SurveyRiskError",
-    "TwoStageModel",
-    "Unattainable",
-    "ZeroGroupCount",
-    "ZeroTruth",
-    "advise",
-    "advise_from_marginals",
-    "build_model",
-    "bundled_model",
-    "chain_rule",
-    "derive",
-    "discard_probability",
-    "estimate",
-    "kl_divergence",
-    "required_sample_size",
-    "risk_app",
-    "risk_gap_present_pooled",
-    "risk_gap_present_prior",
-    "sample_surveys",
-    "simulate_risk",
-    "__version__",
-]
+# each public name is declared once, in its module's ``__all__``
+__all__ = sorted(
+    name
+    for module in (asymptotics, datasets, divergence, errors, estimators, model,
+                   montecarlo, planning)
+    for name in module.__all__
+) + ["__version__"]

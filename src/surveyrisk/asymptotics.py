@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MissingNStar
+from .errors import DomainError, MissingNStar
 from .estimators import EstimatorKind
 from .model import DerivedQuantities, as_int
 
@@ -96,7 +96,10 @@ def risk_app(
     risk as the prior survey grows without bound: the within-group floor
     that no prior survey can lower.  Otherwise sizes are integers >= 1
     (numpy integers work).  ``n_star`` is ignored for the present estimator.
+    A ``kind`` that is not an EstimatorKind member raises DomainError.
     """
+    if not isinstance(kind, EstimatorKind):
+        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n = as_int(n, "n")
     if kind is EstimatorKind.PRESENT:
         n_star = None

@@ -226,7 +226,7 @@ def _write_rows(rows: list[list[str]]) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_ALL_KINDS = (EstimatorKind.PRESENT, EstimatorKind.PRIOR, EstimatorKind.POOLED)
+_ALL_KINDS = tuple(EstimatorKind)
 
 
 def _selected_kinds(name: str) -> tuple[EstimatorKind, ...]:
@@ -351,7 +351,8 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-# (n, n*) grids and n0 grids for the bundled models' reference tables
+# (n, n*) grids and n0 grids for the bundled models' reference tables;
+# example k is BUNDLED_MODEL_NAMES[k - 1]
 _RISK_GRIDS = {
     1: ([(100, 100000), (150, 100000), (200, 100000), (250, 100000),
          (300, 100000), (200, 200), (400, 400), (600, 600), (800, 800),
@@ -365,12 +366,10 @@ _RSS_GRIDS = {
     2: list(range(200, 1001, 200)),
     3: [1000, 1500, 2000, 2500, 3000],
 }
-_EXAMPLE_MODELS = {1: "example1-uniform100x2", 2: "example2-breast-cancer",
-                   3: "example3-household"}
 
 
 def _cmd_reproduce(args) -> int:
-    model_name = _EXAMPLE_MODELS[args.example]
+    model_name = BUNDLED_MODEL_NAMES[args.example - 1]
     model = load_model(model_name)
     precision = args.precision
     rows: list[list[str]] = []
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk = sub.add_parser("risk", parents=[with_model, sim_flags],
                             help="risk of one or all estimators at (n, n*)")
     p_risk.add_argument("--estimator", required=True,
-                        choices=("present", "prior", "pooled", "all"))
+                        choices=(*(k.value for k in EstimatorKind), "all"))
     p_risk.add_argument("--method", required=True, choices=("app", "sim"))
     p_risk.add_argument("--n", type=_positive_int, required=True)
     p_risk.add_argument("--nstar", type=_positive_int)

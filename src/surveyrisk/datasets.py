@@ -52,28 +52,22 @@ _HOUSEHOLD_CELLS = (
 )
 _HOUSEHOLD_LABELS = ("H1", "H2", "H3", "H4", "H5", "H6")
 
-BUNDLED_MODEL_NAMES: tuple[str, ...] = (
-    "example1-uniform100x2",
-    "example2-breast-cancer",
-    "example3-household",
-)
+#: name -> (cells, renormalize, labels)
+_MODELS = {
+    "example1-uniform100x2": (((1.0 / 200.0,) * 100,) * 2, False, ("c1", "c2")),
+    "example2-breast-cancer": (
+        _BREAST_CANCER_CELLS, True, _BREAST_CANCER_LABELS),
+    "example3-household": (_HOUSEHOLD_CELLS, True, _HOUSEHOLD_LABELS),
+}
+
+BUNDLED_MODEL_NAMES: tuple[str, ...] = tuple(_MODELS)
 
 
 def bundled_model(name: str) -> TwoStageModel:
     """Return a bundled model by name; raises KeyError for unknown names."""
-    if name == "example1-uniform100x2":
-        cell = 1.0 / 200.0
-        return build_model(
-            [[cell] * 100, [cell] * 100], renormalize=False, labels=("c1", "c2")
+    if name not in _MODELS:
+        raise KeyError(
+            f"unknown bundled model {name!r}; choices: {', '.join(BUNDLED_MODEL_NAMES)}"
         )
-    if name == "example2-breast-cancer":
-        return build_model(
-            _BREAST_CANCER_CELLS, renormalize=True, labels=_BREAST_CANCER_LABELS
-        )
-    if name == "example3-household":
-        return build_model(
-            _HOUSEHOLD_CELLS, renormalize=True, labels=_HOUSEHOLD_LABELS
-        )
-    raise KeyError(
-        f"unknown bundled model {name!r}; choices: {', '.join(BUNDLED_MODEL_NAMES)}"
-    )
+    cells, renormalize, labels = _MODELS[name]
+    return build_model(cells, renormalize=renormalize, labels=labels)

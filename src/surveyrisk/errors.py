@@ -8,6 +8,22 @@ modes by subclass.
 
 from __future__ import annotations
 
+__all__ = [
+    "SurveyRiskError",
+    "NonPositiveCell",
+    "ShapeError",
+    "NotNormalized",
+    "ZeroTruth",
+    "MissingPriorCounts",
+    "ZeroGroupCount",
+    "DomainError",
+    "MissingNStar",
+    "RejectionBudgetExceeded",
+    "Unattainable",
+    "SimulationNoise",
+    "ParseError",
+]
+
 
 class SurveyRiskError(Exception):
     """Base class for all errors raised by this package."""

@@ -44,7 +44,12 @@ class EstimatorKind(enum.Enum):
 
 
 def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
-    """Compute one estimator's cell-probability estimate from counts."""
+    """Compute one estimator's cell-probability estimate from counts.
+
+    A ``kind`` that is not an EstimatorKind member raises DomainError.
+    """
+    if not isinstance(kind, EstimatorKind):
+        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     totals = counts.group_totals
     n = counts.n
     if n < 1:

@@ -76,13 +76,12 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .estimators import EstimatorKind
-from .model import DerivedQuantities, SurveyCounts, TwoStageModel, as_int, derive
+from .model import DerivedQuantities, TwoStageModel, as_int, derive
 
 __all__ = [
     "BLOCK_SIZE",
     "SimulationConfig",
     "RiskEstimate",
-    "sample_surveys",
     "simulate_risk",
     "discard_probability",
 ]
@@ -140,16 +139,6 @@ class RiskEstimate:
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_present_size(n: object, model: TwoStageModel) -> int:
-    n = as_int(n, "n")
-    if n < model.n_groups:
-        raise RejectionBudgetExceeded(
-            f"n={n} is below the number of groups ({model.n_groups}), so "
-            f"every present draw leaves some group empty"
-        )
-    return n
 
 
 def _draw_present(
@@ -367,15 +356,23 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value, and for a memo hit (see the
-    module docstring) and a fresh draw.  ``n_star`` is ignored for the
-    present estimator.  Sizes and ``workers`` must be integers (numpy
-    integers work; a fractional value or a bool raises DomainError).  A
-    present size below the number of groups raises
-    RejectionBudgetExceeded at once, since no draw could be accepted, and
-    for the prior and pooled estimators (n + n*) * n >= 2**63 raises
-    DomainError.
+    module docstring) and a fresh draw.  ``kind`` must be an
+    EstimatorKind member (anything else raises DomainError), and
+    ``n_star`` is ignored for the present estimator.  Sizes and
+    ``workers`` must be integers (numpy integers work; a fractional value
+    or a bool raises DomainError).  A present size below the number of
+    groups raises RejectionBudgetExceeded at once, since no draw could be
+    accepted, and for the prior and pooled estimators (n + n*) * n >= 2**63
+    raises DomainError.
     """
-    n = _check_present_size(n, model)
+    if not isinstance(kind, EstimatorKind):
+        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
+    n = as_int(n, "n")
+    if n < model.n_groups:
+        raise RejectionBudgetExceeded(
+            f"n={n} is below the number of groups ({model.n_groups}), so "
+            f"every present draw leaves some group empty"
+        )
     if kind is EstimatorKind.PRESENT:
         n_star = None
     else:
@@ -428,34 +425,6 @@ def simulate_risk(
         n=n,
         n_star=n_star,
     )
-
-
-def sample_surveys(
-    model: TwoStageModel,
-    n: int,
-    n_star: int,
-    rng: np.random.Generator,
-) -> tuple[SurveyCounts, int]:
-    """Draw one pair of surveys; returns (counts, number of discarded draws).
-
-    The present draw is rejected and redrawn until every group total is
-    nonzero; the prior draw (omitted when ``n_star`` is 0) is an
-    unconditioned multinomial over the group marginals, drawn by the
-    engine's own prior sampler.  As in :func:`simulate_risk`, a size that
-    is not an integer raises DomainError and n below the number of groups
-    raises RejectionBudgetExceeded, both before drawing; the rejection
-    budget is the engine's.
-    """
-    n = _check_present_size(n, model)
-    n_star = as_int(n_star, "n_star", least=0)
-    dq = derive(model)
-    _, cells, discarded = _draw_present(rng, dq, n, 1)
-    bounds = np.cumsum(model.group_sizes)[:-1]
-    present = tuple(tuple(row) for row in np.split(cells[0], bounds))
-    prior = None
-    if n_star > 0:
-        prior = tuple(_draw_prior(rng, dq.marginals, n_star, 1)[0])
-    return SurveyCounts(present=present, prior=prior), discarded
 
 
 def discard_probability(model: TwoStageModel, n: int) -> float:

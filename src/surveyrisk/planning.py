@@ -115,7 +115,8 @@ class RssQuery:
 
     ``n0`` and a given ``n0_star`` are integers >= 1, stored as Python
     ints.  Present-vs-pooled needs ``n0_star``; prior-vs-present does not
-    use it and also accepts None.
+    use it and also accepts None.  A ``kind`` that is not an RssKind
+    member raises DomainError.
     """
 
     kind: RssKind
@@ -125,6 +126,8 @@ class RssQuery:
     config: SimulationConfig | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, RssKind):
+            raise DomainError(f"kind must be an RssKind, got {self.kind!r}")
         n0, n0_star = as_int(self.n0, "n0"), self.n0_star
         if n0_star is not None or self.kind is RssKind.PRESENT_TO_POOLED:
             n0_star = as_int(n0_star, f"a {self.kind.value} query's n0_star")

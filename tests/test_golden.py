@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from surveyrisk import (
     EstimatorKind,
     RssKind,
@@ -44,7 +42,6 @@ from surveyrisk import (
     risk_app,
     risk_gap_present_pooled,
     risk_gap_present_prior,
-    sample_surveys,
     simulate_risk,
 )
 from surveyrisk import montecarlo
@@ -78,23 +75,6 @@ RSS_SIMULATED = {
     ("example2-breast-cancer", "present-vs-pooled", 400, 400, 4096, 20190415): 458,
     ("example1-uniform100x2", "present-vs-pooled", 400, 400, 4096, 20190415): 401,
 }
-
-#: (model, n, n*, default_rng seed) -> (present cells, prior counts, discarded)
-SAMPLED = {
-    ("example2-breast-cancer", 40, 500, 11): (
-        ((2, 5, 2), (1, 6, 5), (4, 4, 4), (3, 2, 1), (0, 0, 1)),
-        (64, 157, 165, 104, 10),
-        2,
-    ),
-    ("example3-household", 500, 2000, 3): (
-        ((1, 0, 3, 3, 2, 2, 0, 0, 1, 0), (1, 5, 8, 7, 28, 26, 10, 2, 1, 1),
-         (3, 7, 6, 21, 23, 48, 36, 18, 7, 5), (3, 3, 9, 13, 7, 31, 22, 18, 11, 5),
-         (3, 4, 17, 15, 14, 18, 10, 8, 3, 0), (0, 2, 2, 4, 0, 1, 2, 0, 0, 0)),
-        (86, 381, 611, 544, 332, 46),
-        0,
-    ),
-}
-
 
 #: (function, model, kind or stage, n, n*) -> pinned values
 APPROXIMATED = {
@@ -336,13 +316,6 @@ def _solve(name, kind, n0, n0_star, reps, seed):
     return required_sample_size(query, bundled_model(name))
 
 
-def _sample(name, n, n_star, seed):
-    counts, discarded = sample_surveys(
-        bundled_model(name), n, n_star, np.random.default_rng(seed)
-    )
-    return (counts.present, counts.prior, discarded)
-
-
 #: the kind run just before a pinned case to fill the engine's memo of
 #: present draws at the case's key (and its prior counts, at the same n*)
 _SIBLING = {"present": "pooled", "prior": "pooled", "pooled": "prior"}
@@ -372,18 +345,11 @@ def test_approximated_values_are_pinned_bitwise():
     assert got == APPROXIMATED
 
 
-def test_sampled_surveys_are_pinned():
-    got = {key: _sample(*key) for key in SAMPLED}
-    assert got == SAMPLED
-
-
 if __name__ == "__main__":
     for key in SIMULATED:
         print(f"    {key!r}:\n        {_simulate(*key)!r},")
     for key in RSS_SIMULATED:
         print(f"    {key!r}: {_solve(*key)!r},")
-    for key in SAMPLED:
-        print(f"    {key!r}: {_sample(*key)!r},")
     for key in _approximation_keys():
         shown = repr(key).replace(" inf)", " math.inf)")
         print(f"    {shown}:\n        {_approximate(*key)!r},")

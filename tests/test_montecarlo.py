@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import threading
 import time
 import warnings
@@ -36,7 +37,6 @@ from surveyrisk import (
     risk_app,
     risk_gap_present_pooled,
     risk_gap_present_prior,
-    sample_surveys,
     simulate_risk,
 )
 from surveyrisk import montecarlo
@@ -145,26 +145,6 @@ def test_rejection_budget_is_enforced(monkeypatch):
         simulate_risk(EstimatorKind.PRESENT, skewed, 5, None, cfg)
 
 
-def test_sample_surveys_postconditions():
-    rng = np.random.default_rng(5)
-    counts, discarded = sample_surveys(BREAST_CANCER, 200, 1000, rng)
-    assert counts.n == 200
-    assert counts.n_star == 1000
-    assert counts.group_sizes == BREAST_CANCER.group_sizes
-    assert all(t >= 1 for t in counts.group_totals)
-    assert discarded >= 0
-
-    counts0, _ = sample_surveys(BREAST_CANCER, 200, 0, rng)
-    assert counts0.prior is None
-
-
-def test_sample_surveys_small_n_keeps_groups_nonempty():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        counts, _ = sample_surveys(UNIFORM_2X2, 2, 0, rng)
-        assert all(t >= 1 for t in counts.group_totals)
-
-
 def test_discard_probability_inclusion_exclusion():
     """For two groups the closed form is elementary; check against it."""
     m = build_model([[0.4, 0.4], [0.1, 0.1]])
@@ -206,8 +186,6 @@ def test_present_size_below_group_count_fails_fast():
     start = time.perf_counter()
     with pytest.raises(RejectionBudgetExceeded, match="below the number of groups"):
         simulate_risk(EstimatorKind.PRESENT, BREAST_CANCER, n, None, cfg)
-    with pytest.raises(RejectionBudgetExceeded, match="below the number of groups"):
-        sample_surveys(BREAST_CANCER, n, 100, np.random.default_rng(0))
     assert time.perf_counter() - start < 0.5
 
 
@@ -277,18 +255,12 @@ def test_fractional_or_bool_sizes_are_refused(bad):
     give a wrong number instead of an error, so every size is checked up
     front; ``bool`` is refused although it is an int."""
     cfg = SimulationConfig(replications=16)
-    rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
         simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, bad, 600, cfg)
     with pytest.raises(DomainError):
         simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 200, bad, cfg)
     with pytest.raises(DomainError):
-        sample_surveys(BREAST_CANCER, bad, 100, rng)
-    with pytest.raises(DomainError):
         discard_probability(BREAST_CANCER, bad)
-    if bad != 0:
-        with pytest.raises(DomainError):
-            sample_surveys(BREAST_CANCER, 200, bad, rng)
     with pytest.raises(DomainError):
         simulate_risk(EstimatorKind.PRESENT, BREAST_CANCER, 200, None, cfg,
                       workers=bad)
@@ -334,6 +306,35 @@ def test_fractional_or_bool_sizes_are_refused(bad):
     )
     with pytest.raises(DomainError):
         advise(counts, sizes, stage="plan", n=bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["prior", "present", "PRIOR", 3, None, RssKind.PRIOR_TO_PRESENT])
+def test_an_estimator_kind_that_is_not_a_member_is_refused(bad):
+    """Each dispatch on the kind ends in the pooled branch, so any other
+    value would silently give the pooled estimator's numbers."""
+    counts = SurveyCounts(present=((5, 12, 8), (13, 34, 17), (18, 27, 22),
+                                   (12, 17, 11), (3, 1, 1)),
+                          prior=(26, 63, 67, 40, 5))
+    named = re.escape(repr(bad))
+    with pytest.raises(DomainError, match=named):
+        risk_app(bad, derive(BREAST_CANCER), 200, 600)
+    with pytest.raises(DomainError, match=named):
+        simulate_risk(bad, BREAST_CANCER, 200, 600,
+                      SimulationConfig(replications=500, seed=1))
+    with pytest.raises(DomainError, match=named):
+        estimate(bad, counts)
+
+
+@pytest.mark.parametrize(
+    "bad", ["prior-vs-present", "present-vs-pooled", 1, None,
+            EstimatorKind.PRIOR])
+def test_an_rss_kind_that_is_not_a_member_is_refused(bad):
+    named = re.escape(repr(bad))
+    with pytest.raises(DomainError, match=named):
+        RssQuery(bad, 400)
+    with pytest.raises(DomainError, match=named):
+        RssQuery(bad, 400, 400)
 
 
 @pytest.mark.parametrize("bad", [1.7, True, -1, 2**64, "1"])

@@ -11,6 +11,7 @@ import surveyrisk
 from surveyrisk import errors
 
 PACKAGE = Path(surveyrisk.__file__).parent
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -61,8 +62,8 @@ def test_package_exports_exactly_the_modules_public_names():
     """The package re-exports every library module's ``__all__`` and
     nothing else, so a name removed from a module cannot linger in the
     package's export list, nor a new one be left out of it.  ``cli`` is
-    the command line, imported as ``surveyrisk.cli``; ``errors`` has no
-    ``__all__``, and its exception classes are its public names."""
+    the command line, imported as ``surveyrisk.cli``; every exception
+    class in ``errors`` is public."""
     modules = [importlib.import_module(f"surveyrisk.{path.stem}")
                for path in sorted(PACKAGE.glob("*.py"))
                if not path.stem.startswith("_") and path.stem != "cli"]
@@ -72,3 +73,33 @@ def test_package_exports_exactly_the_modules_public_names():
                if inspect.isclass(value) and issubclass(value, Exception)
                and value.__module__ == errors.__name__}
     assert set(surveyrisk.__all__) - {"__version__"} == public
+
+
+def test_each_public_name_comes_from_one_module():
+    """The package's ``__all__`` is built from the modules' lists, so a
+    name exported by two modules would shadow one of them silently."""
+    assert len(surveyrisk.__all__) == len(set(surveyrisk.__all__))
+    modules = [importlib.import_module(f"surveyrisk.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if not path.stem.startswith("_") and path.stem != "cli"]
+    shadowed = [f"{module.__name__}.{name}" for module in modules
+                for name in module.__all__
+                if getattr(surveyrisk, name) is not getattr(module, name)]
+    assert shadowed == []
+
+
+def test_demos_import_only_names_that_exist():
+    """No test runs the demos; reading their imports catches a public
+    name they use being removed."""
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").split(".")[0] == "surveyrisk"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno} {node.module}."
+                            f"{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert missing == []
