@@ -142,7 +142,12 @@ def gap_first_stage(
     n: int,
     n_star: int,
 ) -> float:
-    """risk(present) - risk(kind) from first-stage quantities only."""
+    """risk(present) - risk(kind) from first-stage quantities only.
+
+    A ``kind`` that is not an EstimatorKind member raises DomainError.
+    """
+    if not isinstance(kind, EstimatorKind):
+        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     N, w = _first_stage(kind, n, n_star)
     # sum_i s_i (1/m_i. - 1); zero only when every group has one cell

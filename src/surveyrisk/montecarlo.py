@@ -42,18 +42,34 @@ results are bitwise identical for any worker count.  Worker threads each
 own their blocks end to end; the only shared write target is the buffer,
 at disjoint indices.
 
+Loss by the chain rule.  The three estimators share the present
+survey's within-group conditionals x_i./t_i and differ only in their
+first-stage marginals q_f: t/n (present), x*/n* (prior) or
+(t + x*)/(n + n*) (pooled).  By the chain rule (see
+:mod:`surveyrisk.divergence`) each replication's loss is
+
+    D[q_f : m_f] + sum_i q_f,i * D_i,    D_i = D[x_i./t_i : p_i],
+
+and D_i depends on neither the kind nor n*.  It is computed once per
+present draw, group by group, as the sum of rel_entr(x_ij / t_i, p_ij);
+a loss then costs I columns, not a pass over every cell.  The identity
+is exact, the rounding is not the same, so engine losses equal
+``kl_divergence`` of the library's estimate to within 1e-15 + 1e-12 *
+loss, not bitwise.  The absolute term is what counts at large n: the
+rounding error of either sum stays near a unit in the last place of 1,
+while the loss shrinks like 1/n.
+
 Memo of present draws.  A block's present surveys and the Philox state
 after them depend only on (model cells, group sizes, n, seed,
 replications), never on the kind, n* or ``workers``.  The module keeps
 one slot under that key, an object that draws its own blocks and keeps,
-per block, the totals, the cells, the discard count and that state, so a
-prior draw continues the same stream; and the prior counts for the most
-recent n* only, so a prior and a pooled call at the same (n, n*) draw
-them once.  Counts are stored read-only in the smallest of uint8,
-uint16, uint32 and int64 that holds their sum.  Totals and prior counts
-are widened to int64 when read, and cells meet an int64 operand in every
-product, so the int64 estimates are exactly what they were.  A call with
-another key replaces the slot; a call whose counts would exceed
+per block, the totals, the second-stage KLs D (the cells themselves are
+not kept), the discard count and that state, so a prior draw continues
+the same stream; and the prior counts for the most recent n* only, so a
+prior and a pooled call at the same (n, n*) draw them once.  Counts are
+stored read-only in the smallest of uint8, uint16, uint32 and int64 that
+holds their sum, and widened to int64 when read.  A call with another
+key replaces the slot; a call whose entries would exceed
 ``_MEMO_CAP_BYTES`` keeps nothing and releases it.  A hit returns
 exactly what a fresh draw would, so results do not change.
 """
@@ -94,8 +110,8 @@ BLOCK_SIZE = 4096
 #: each block draws
 _MAX_REJECTIONS = 10**6
 
-#: bytes of counts the memo of present draws may hold; a call that
-#: would store more is not memoized
+#: bytes of entries (totals, second-stage KLs and prior counts) the memo
+#: of present draws may hold; a call that would store more is not memoized
 _MEMO_CAP_BYTES = 64 * 2**20
 
 
@@ -246,11 +262,11 @@ def _draw_prior(
 
 class _Draws:
     """The draws of one key (model cells, group sizes, n, config), made
-    block by block on demand: per block a present entry (totals, cells,
-    discarded, Philox state after the present draw) and a prior entry
-    (n*, prior counts).  Each entry is replaced whole, so threads that
-    share the object never see half of one.  With ``keep`` false nothing
-    is stored and every block draws afresh.
+    block by block on demand: per block a present entry (totals,
+    second-stage KLs, discarded, Philox state after the present draw) and
+    a prior entry (n*, prior counts).  Each entry is replaced whole, so
+    threads that share the object never see half of one.  With ``keep``
+    false nothing is stored and every block draws afresh.
     """
 
     def __init__(self, key: tuple, dq: DerivedQuantities, keep: bool = True) -> None:
@@ -262,16 +278,29 @@ class _Draws:
         self._present: list[tuple | None] = [None] * n_blocks
         self._prior: list[tuple | None] = [None] * n_blocks
 
+    def _second_stage(self, totals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """D[x_i./t_i : p_i] per row and group, read-only (rows, I) float64;
+        every t_i is at least 1."""
+        d = np.empty(totals.shape, dtype=np.float64)
+        start = 0
+        for gi, conditionals in enumerate(self.dq.conditionals):
+            stop = start + conditionals.size
+            within = cells[:, start:stop] / totals[:, gi, None]
+            d[:, gi] = np.sum(rel_entr(within, conditionals), axis=1)
+            start = stop
+        d.flags.writeable = False
+        return d
+
     def block(self, b: int, n_star: int | None) -> tuple:
-        """(totals, cells, discarded, prior counts) of block b; the prior
-        counts are drawn after the present surveys, and are None when
-        ``n_star`` is."""
+        """(totals, second-stage KLs, discarded, prior counts) of block b;
+        the prior counts are drawn after the present surveys, and are None
+        when ``n_star`` is."""
         rows = min(BLOCK_SIZE, self.config.replications - b * BLOCK_SIZE)
         present = self._present[b]
         if present is None:
             gen = _block_generator(self.config.seed, b)
             totals, cells, discarded = _draw_present(gen, self.dq, self.n, rows)
-            present = (_narrow(totals, self.n), _narrow(cells, self.n),
+            present = (_narrow(totals, self.n), self._second_stage(totals, cells),
                        discarded, gen.bit_generator.state)
             if self.keep:
                 self._present[b] = present
@@ -320,28 +349,21 @@ def _narrow(counts: np.ndarray, total: int) -> np.ndarray:
 
 
 def _block_losses(
-    kind: EstimatorKind,
-    draws: _Draws,
-    b: int,
-    truth: np.ndarray,
-    sizes: tuple[int, ...],
-    n_star: int | None,
+    kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None
 ) -> tuple[np.ndarray, int]:
-    totals, cells, discarded, xstar = draws.block(b, n_star)
-    n = draws.n
-    # cells stay narrow: each product below meets an int64 operand, which
-    # widens them to the same int64 values, and a division gives float64
+    """Per-replication losses of block b by the chain rule, and its
+    discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
+    first-stage estimate q_f."""
+    totals, second_stage, discarded, xstar = draws.block(b, n_star)
+    totals = totals.astype(np.int64)
     if kind is EstimatorKind.PRESENT:
-        est = cells / float(n)
-    else:
-        xstar_rep = np.repeat(xstar.astype(np.int64), sizes, axis=1)
-        totals_rep = np.repeat(totals.astype(np.int64), sizes, axis=1)
-        if kind is EstimatorKind.PRIOR:
-            est = (xstar_rep * cells) / (n_star * totals_rep)
-        else:  # POOLED
-            est = ((totals_rep + xstar_rep) * cells) / ((n + n_star) * totals_rep)
-
-    return np.sum(rel_entr(est, truth), axis=1), discarded
+        first = totals / draws.n
+    elif kind is EstimatorKind.PRIOR:
+        first = xstar / n_star
+    else:  # POOLED
+        first = (totals + xstar) / (draws.n + n_star)
+    losses = np.sum(rel_entr(first, draws.dq.marginals) + first * second_stage, axis=1)
+    return losses, discarded
 
 
 def simulate_risk(
@@ -379,30 +401,29 @@ def simulate_risk(
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
         n_star = as_int(n_star, "n_star")
-        # the prior and pooled estimates multiply counts in int64, each
-        # product at most (n + n*) * n
+        # the documented size bound of the prior and pooled kinds; it keeps
+        # n + n* and every count well inside int64
         if (n + n_star) * n >= 2**63:
             raise DomainError(
-                f"(n + n*) * n must be below 2**63 for the engine's int64 "
-                f"estimates, got n={n}, n*={n_star}"
+                f"(n + n*) * n must be below 2**63, got n={n}, n*={n_star}"
             )
     workers = as_int(workers, "workers")
 
     dq = derive(model)
-    truth = model.flat()
-    sizes = model.group_sizes
+    groups = model.n_groups
     reps = config.replications
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
     discards = np.zeros(n_blocks, dtype=np.int64)
-    width = len(sizes) + truth.size
-    nbytes = reps * width * _count_dtype(n).itemsize
+    # per replication: totals, and one float64 second-stage KL per group
+    nbytes = reps * groups * (_count_dtype(n).itemsize + 8)
     if n_star is not None:
-        nbytes += reps * len(sizes) * _count_dtype(n_star).itemsize
-    draws = _memo_slot((truth.tobytes(), sizes, n, config), dq, nbytes)
+        nbytes += reps * groups * _count_dtype(n_star).itemsize
+    key = (model.flat().tobytes(), model.group_sizes, n, config)
+    draws = _memo_slot(key, dq, nbytes)
 
     def run_block(b: int) -> None:
-        block, discards[b] = _block_losses(kind, draws, b, truth, sizes, n_star)
+        block, discards[b] = _block_losses(kind, draws, b, n_star)
         losses[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
 
     if workers == 1 or n_blocks == 1:

@@ -18,6 +18,7 @@ from surveyrisk import (
     risk_gap_present_pooled,
     risk_gap_present_prior,
 )
+from surveyrisk.asymptotics import gap_first_stage
 from helpers import (
     inverse_cell_sum,
     random_model,
@@ -151,6 +152,18 @@ def test_gap_reference_values():
                         1.71875e-5, abs_tol=1e-12)
     assert math.isclose(risk_gap_present_pooled(UNIFORM, 90, 1000),
                         -0.006085554173537789, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["prior", "pooled", "POOLED", 2, None])
+def test_gap_of_a_kind_that_is_not_a_member_is_refused(bad):
+    """A kind outside the enum used to fall through to the pooled branch:
+    ``"prior"`` on breast-cancer gave the pooled gap at (200, 600)."""
+    dq = derive(bundled_model("example2-breast-cancer"))
+    args = (dq.s.tolist(), dq.marginals.tolist(), dq.M_f, 200, 600)
+    assert gap_first_stage(EstimatorKind.PRIOR, *args) == \
+        risk_gap_present_prior(dq, 200, 600)
+    with pytest.raises(DomainError, match="EstimatorKind"):
+        gap_first_stage(bad, *args)
 
 
 def test_gap_vanishes_without_second_stage():

@@ -6,15 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveyrisk import (
     DomainError,
+    EstimatorKind,
     NotNormalized,
     ProbabilityEstimate,
     ShapeError,
+    SurveyCounts,
     ZeroTruth,
     build_model,
     chain_rule,
+    estimate,
     kl_divergence,
 )
 from helpers import random_estimate, random_model
@@ -114,3 +119,36 @@ def test_chain_rule_matches_direct_divergence():
         br = chain_rule(e, m)
         direct = kl_divergence(e.flat(), m.flat())
         assert abs(br.total - direct) <= 1e-12
+
+
+@st.composite
+def _model_and_counts(draw):
+    """A model of 2-5 groups of 1-4 cells, present counts with every group
+    observed, and prior counts in which any group may be zero."""
+    layout = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    weights = [[draw(st.integers(1, 50)) for _ in range(k)] for k in layout]
+    model = build_model(weights, renormalize=True)
+    present = []
+    for k in layout:
+        cells = draw(st.lists(st.integers(0, 500), min_size=k, max_size=k))
+        if sum(cells) == 0:
+            cells[draw(st.integers(0, k - 1))] = draw(st.integers(1, 500))
+        present.append(tuple(cells))
+    groups = len(layout)
+    prior = draw(st.lists(st.one_of(st.just(0), st.integers(1, 2000)),
+                          min_size=groups, max_size=groups).filter(any))
+    return model, SurveyCounts(present=tuple(present), prior=prior)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_model_and_counts())
+def test_chain_rule_total_is_the_divergence_for_every_estimator(case):
+    """The identity the engine's loss rests on: for each estimator's
+    estimate, zero prior groups included, the chain-rule total is the
+    direct divergence to within 1e-12 relative."""
+    model, counts = case
+    for kind in EstimatorKind:
+        est = estimate(kind, counts)
+        direct = kl_divergence(est.flat(), model.flat())
+        assert math.isclose(chain_rule(est, model).total, direct,
+                            rel_tol=1e-12, abs_tol=0.0)

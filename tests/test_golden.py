@@ -53,15 +53,15 @@ SIMULATED = {
     ("example1-uniform100x2", "pooled", 90, 1000, 4097, 2019):
         (1.0844685443293027, 0.0008514933618345438, 0.0),
     ("example2-breast-cancer", "present", 60, None, 6000, 0):
-        (0.11922625094602339, 0.0005562496858991662, 0.2679355783308931),
+        (0.11922625094602338, 0.0005562496858991662, 0.2679355783308931),
     ("example2-breast-cancer", "prior", 60, 300, 6000, 0):
         (0.10147233586046109, 0.0005747033434566234, 0.2679355783308931),
     ("example2-breast-cancer", "pooled", 60, 300, 6000, 0):
-        (0.09931064769965009, 0.0005496967968740516, 0.2679355783308931),
+        (0.09931064769965008, 0.0005496967968740516, 0.2679355783308931),
     ("example2-breast-cancer", "pooled", 200, 1000, 9000, 20190415):
         (0.029328508722547122, 0.000130439749635762, 0.010662855886556008),
     ("example3-household", "prior", 1000, 1000, 5000, 3):
-        (0.0302233173813171, 7.91386846815633e-05, 0.0),
+        (0.0302233173813171, 7.913868468156329e-05, 0.0),
     ("example3-household", "pooled", 300, 2000, 4100, 2**63 + 5):
         (0.09473699475566272, 0.0002824123512110953, 0.00048756704046806434),
 }

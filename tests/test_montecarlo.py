@@ -41,6 +41,7 @@ from surveyrisk import (
 )
 from surveyrisk import montecarlo
 from surveyrisk.montecarlo import _binom_inverse
+from surveyrisk.planning import MAX_DOUBLINGS
 from helpers import inverse_cell_sum, risk_app_closed_form, risk_full_model
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
@@ -190,8 +191,8 @@ def test_present_size_below_group_count_fails_fast():
 
 
 def test_sizes_whose_estimates_overflow_int64_are_refused():
-    """The prior and pooled estimates multiply counts in int64; products
-    up to (n + n*) * n would wrap silently, so such sizes are refused
+    """Sizes with (n + n*) * n at or above 2**63 lie outside the engine's
+    documented range for the prior and pooled kinds, so they are refused
     before anything is drawn."""
     cfg = SimulationConfig(replications=20_000, seed=0)
     start = time.perf_counter()
@@ -540,38 +541,51 @@ def test_concurrent_callers_with_different_keys_get_serial_results():
 
 
 def test_engine_loss_is_the_library_loss():
-    """The engine's vectorized estimates and losses are the library's:
-    each replication's counts, rebuilt from the memo's draws, give through
-    ``estimate`` and ``kl_divergence`` a mean and standard error equal to
-    the engine's to the bit, discarded draws included."""
+    """The engine's chain-rule losses are the library's: each
+    replication's counts, redrawn from the block's generator, give through
+    ``estimate`` and ``kl_divergence`` the engine's loss to within
+    1e-15 + 1e-12 * loss, the engine's mean and standard error are those
+    of its own losses, and its discard rate counts the redraws' discards.
+    The largest n is the largest size a sample-size solve from n0 = 400
+    probes; there the loss is about 1e-8 and the absolute term decides."""
     for name in BUNDLED_MODEL_NAMES:
         model = bundled_model(name)
-        n = 60 if name == "example2-breast-cancer" else 200
-        truth = model.flat()
-        bounds = np.cumsum(model.group_sizes)[:-1]
-        cfg = SimulationConfig(replications=300, seed=3)
-        for kind in EstimatorKind:
-            n_star = None if kind is EstimatorKind.PRESENT else 600
-            _forget_draws()
-            r = simulate_risk(kind, model, n, n_star, cfg)
-            draws = montecarlo._memo
-            losses, discarded = [], 0
-            for b in range(-(-cfg.replications // BLOCK_SIZE)):
-                _, cells, d, prior = draws.block(b, n_star)
-                discarded += d
-                for i, row in enumerate(cells.tolist()):
-                    counts = SurveyCounts(
-                        present=tuple(map(tuple, np.split(row, bounds))),
-                        prior=None if prior is None else prior[i].tolist())
-                    losses.append(kl_divergence(estimate(kind, counts).flat(),
-                                                truth))
-            losses = np.array(losses)
-            assert r.mean_loss == float(np.sum(losses) / losses.size)
-            assert r.std_error == float(np.std(losses, ddof=1)
-                                        / math.sqrt(losses.size))
-            assert r.discard_rate == discarded / (discarded + losses.size)
-            if name == "example2-breast-cancer":
-                assert discarded > 0
+        small = 60 if name == "example2-breast-cancer" else 200
+        for n in (small, 1000, 400 * 2**MAX_DOUBLINGS):
+            _check_engine_losses(model, n, discards=n == 60)
+
+
+def _check_engine_losses(model, n, discards):
+    dq = derive(model)
+    truth = model.flat()
+    bounds = np.cumsum(model.group_sizes)[:-1]
+    cfg = SimulationConfig(replications=300, seed=3)
+    for kind in EstimatorKind:
+        n_star = None if kind is EstimatorKind.PRESENT else 600
+        _forget_draws()
+        r = simulate_risk(kind, model, n, n_star, cfg)
+        draws = montecarlo._memo
+        engine, library, discarded = [], [], 0
+        for b in range(-(-cfg.replications // BLOCK_SIZE)):
+            rows = min(BLOCK_SIZE, cfg.replications - b * BLOCK_SIZE)
+            _, cells, d = montecarlo._draw_present(
+                montecarlo._block_generator(cfg.seed, b), dq, n, rows)
+            discarded += d
+            prior = draws.block(b, n_star)[3]
+            engine.extend(montecarlo._block_losses(kind, draws, b, n_star)[0])
+            for i, row in enumerate(cells.tolist()):
+                counts = SurveyCounts(
+                    present=tuple(map(tuple, np.split(row, bounds))),
+                    prior=None if prior is None else prior[i].tolist())
+                library.append(kl_divergence(estimate(kind, counts).flat(), truth))
+        np.testing.assert_allclose(engine, library, rtol=1e-12, atol=1e-15)
+        engine = np.array(engine)
+        assert r.mean_loss == float(np.sum(engine) / engine.size)
+        assert r.std_error == float(np.std(engine, ddof=1)
+                                    / math.sqrt(engine.size))
+        assert r.discard_rate == discarded / (discarded + engine.size)
+        if discards:
+            assert discarded > 0
 
 
 @st.composite
