@@ -16,6 +16,7 @@ decision rule for concrete survey counts.
 """
 
 from surveyrisk import (
+    AdviceContext,
     Decision,
     RssKind,
     RssQuery,
@@ -58,7 +59,7 @@ print(f"  risk-gap statistic {rec.statistic:+.6f}  ->  {rec.decision.value}")
 print()
 print("planning against the same prior survey:")
 for n in (20, 30, 60):
-    planned = advise(counts, model.group_sizes, stage="plan", n=n)
+    planned = advise(counts, model.group_sizes, AdviceContext.PLANNING, n=n)
     hint = "pool both surveys" if planned.decision is Decision.USE_POOLED \
         else "present survey too small"
     print(f"  n = {n:>3}:  statistic {planned.statistic:+.6f}"

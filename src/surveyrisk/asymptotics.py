@@ -49,12 +49,7 @@ from .errors import DomainError, MissingNStar
 from .estimators import EstimatorKind
 from .model import DerivedQuantities, as_int
 
-__all__ = [
-    "RiskApproximation",
-    "risk_app",
-    "risk_gap_present_prior",
-    "risk_gap_present_pooled",
-]
+__all__ = ["RiskApproximation", "risk_app"]
 
 
 @dataclass(frozen=True)
@@ -138,48 +133,29 @@ def gap_first_stage(
     kind: EstimatorKind,
     s: Sequence[int],
     marginals: Sequence[float],
-    M_f: float,
     n: int,
     n_star: int,
 ) -> float:
-    """risk(present) - risk(kind) from first-stage quantities only.
+    """risk(present) - risk(kind) from the truncated expansions, given
+    only first-stage quantities; M_f is summed from ``marginals``.
 
-    A ``kind`` that is not an EstimatorKind member raises DomainError.
+    Positive means ``kind`` is the better estimator at these sizes.  For
+    the pooled kind this is the advisor's decision statistic; a negative
+    value says pooling is expected to do worse than ignoring the prior
+    survey (the small-n pathology).  For the prior kind at n = n* it
+    collapses to -sum_i s_i (1/m_i. - 1) / (2n^2), negative whenever any
+    group has more than one cell.  A ``kind`` that is not an
+    EstimatorKind member raises DomainError.
     """
     if not isinstance(kind, EstimatorKind):
         raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     N, w = _first_stage(kind, n, n_star)
+    M_f = math.fsum(1.0 / m for m in marginals)
     # sum_i s_i (1/m_i. - 1); zero only when every group has one cell
     c = math.fsum(si * (1.0 / m - 1.0) for si, m in zip(s, marginals))
     return (
         (len(marginals) - 1) / 2.0 * (1.0 / n - 1.0 / N)
         + (M_f - 1.0) / 12.0 * (1.0 / (n * n) - 1.0 / (N * N))
         - w * c / (2.0 * n * n)
-    )
-
-
-def risk_gap_present_prior(dq: DerivedQuantities, n: int, n_star: int) -> float:
-    """risk(present) - risk(prior) from the truncated expansions.
-
-    Positive means the prior-marginal estimator is the better one at these
-    sizes.  At n = n* this collapses to -sum_i s_i (1/m_i. - 1) / (2n^2),
-    which is negative whenever any multi-cell group exists: with equal
-    sample sizes, reusing the present sample for both stages always beats
-    splitting the stages across independent samples.
-    """
-    return gap_first_stage(
-        EstimatorKind.PRIOR, dq.s.tolist(), dq.marginals.tolist(), dq.M_f, n, n_star
-    )
-
-
-def risk_gap_present_pooled(dq: DerivedQuantities, n: int, n_star: int) -> float:
-    """risk(present) - risk(pooled) from the truncated expansions.
-
-    This is the advisor's decision statistic: positive favors pooling the
-    two surveys, negative says the pooled estimator is expected to do
-    worse than ignoring the prior survey entirely (the small-n pathology).
-    """
-    return gap_first_stage(
-        EstimatorKind.POOLED, dq.s.tolist(), dq.marginals.tolist(), dq.M_f, n, n_star
     )

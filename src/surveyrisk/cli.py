@@ -43,6 +43,7 @@ from .estimators import EstimatorKind
 from .model import SurveyCounts, TwoStageModel, build_model, derive
 from .montecarlo import SimulationConfig, simulate_risk
 from .planning import (
+    AdviceContext,
     RssKind,
     RssQuery,
     advise,
@@ -152,6 +153,13 @@ def dump_model_text(model: TwoStageModel, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_row(lineno: int, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in line.split())
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {line!r}") from None
+
+
 def parse_counts_text(text: str) -> SurveyCounts:
     """Parse the counts file grammar; raises ParseError with line numbers."""
     lines = _content_lines(text)
@@ -161,26 +169,13 @@ def parse_counts_text(text: str) -> SurveyCounts:
     prior: tuple[int, ...] | None = None
     i = 1
     while i < len(lines) and lines[i][1] != "prior":
-        lineno, line = lines[i]
-        try:
-            row = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: expected integers, got {line!r}"
-            ) from None
-        present.append(row)
+        present.append(_int_row(*lines[i]))
         i += 1
     if i < len(lines):  # 'prior' section
         if i + 1 >= len(lines):
             raise ParseError("'prior' line must be followed by one line of "
                              "group counts")
-        lineno, line = lines[i + 1]
-        try:
-            prior = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: expected integers, got {line!r}"
-            ) from None
+        prior = _int_row(*lines[i + 1])
         if i + 2 < len(lines):
             extra = lines[i + 2][0]
             raise ParseError(f"line {extra}: unexpected content after the "
@@ -235,34 +230,38 @@ def _selected_kinds(name: str) -> tuple[EstimatorKind, ...]:
     return (EstimatorKind(name),)
 
 
-def _risk_rows_app(model_name, model, kinds, n, n_star, precision):
-    dq = derive(model)
-    header = ["model", "method", "n", "nstar",
-              "present_app", "prior_app", "pooled_app"]
-    values = {k: "" for k in _ALL_KINDS}
-    for kind in kinds:
-        values[kind] = _fmt(risk_app(kind, dq, n, n_star).total, precision)
-    row = [model_name, "app", str(n), "" if n_star is None else str(n_star),
-           values[EstimatorKind.PRESENT], values[EstimatorKind.PRIOR],
-           values[EstimatorKind.POOLED]]
-    return [header, row]
+_RISK_HEADER = {
+    "app": ["model", "method", "n", "nstar",
+            "present_app", "prior_app", "pooled_app"],
+    "sim": ["model", "method", "n", "nstar", "seed", "replications",
+            "present_sim", "present_se", "prior_sim", "prior_se",
+            "pooled_sim", "pooled_se", "discard_rate"],
+}
 
 
-def _risk_rows_sim(model_name, model, kinds, n, n_star, config, workers, precision):
-    header = ["model", "method", "n", "nstar", "seed", "replications",
-              "present_sim", "present_se", "prior_sim", "prior_se",
-              "pooled_sim", "pooled_se", "discard_rate"]
-    values = {k: ("", "") for k in _ALL_KINDS}
-    discard = ""
-    for kind in kinds:
-        r = simulate_risk(kind, model, n, n_star, config, workers)
-        values[kind] = (_fmt(r.mean_loss, precision), _fmt(r.std_error, precision))
-        discard = _fmt(r.discard_rate, precision)
-    row = [model_name, "sim", str(n), "" if n_star is None else str(n_star),
-           str(config.seed), str(config.replications),
-           *values[EstimatorKind.PRESENT], *values[EstimatorKind.PRIOR],
-           *values[EstimatorKind.POOLED], discard]
-    return [header, row]
+def _risk_row(model_name, model, kinds, n, n_star, args):
+    """Evaluate the risks of ``kinds`` at (n, n*) with the method, seed,
+    reps and threads in ``args``; returns the CSV row, whose fields for
+    the other kinds are empty."""
+    precision = args.precision
+    row = [model_name, args.method, str(n), "" if n_star is None else str(n_star)]
+    if args.method == "app":
+        dq = derive(model)
+        values = {k: [_fmt(risk_app(k, dq, n, n_star).total, precision)]
+                  for k in kinds}
+        width, tail = 1, []
+    else:
+        config = SimulationConfig(replications=args.reps, seed=args.seed)
+        row += [str(config.seed), str(config.replications)]
+        runs = [simulate_risk(k, model, n, n_star, config, args.threads)
+                for k in kinds]
+        values = {r.kind: [_fmt(r.mean_loss, precision), _fmt(r.std_error, precision)]
+                  for r in runs}
+        # every kind sees the same present draws, so one discard rate
+        width, tail = 2, [_fmt(runs[-1].discard_rate, precision)]
+    for kind in _ALL_KINDS:
+        row += values.get(kind, [""] * width)
+    return row + tail
 
 
 def _cmd_risk(args) -> int:
@@ -275,14 +274,8 @@ def _cmd_risk(args) -> int:
         )
     # the present estimator ignores n*, so its row leaves the field empty
     n_star = args.nstar if needs_prior else None
-    if args.method == "app":
-        rows = _risk_rows_app(args.model, model, kinds, args.n, n_star,
-                              args.precision)
-    else:
-        config = SimulationConfig(replications=args.reps, seed=args.seed)
-        rows = _risk_rows_sim(args.model, model, kinds, args.n, n_star,
-                              config, args.threads, args.precision)
-    _write_rows(rows)
+    _write_rows([_RISK_HEADER[args.method],
+                 _risk_row(args.model, model, kinds, args.n, n_star, args)])
     return 0
 
 
@@ -318,8 +311,13 @@ def _cmd_rss(args) -> int:
     return 0
 
 
+#: the advice stage each ``--stage`` value names
+_STAGES = {"post": AdviceContext.POST_SURVEY, "plan": AdviceContext.PLANNING}
+
+
 def _cmd_advise(args) -> int:
     model = load_model(args.model)
+    stage = _STAGES[args.stage]
     if args.counts is None and args.plug_in is None:
         raise _UsageError("advise needs --counts FILE or --plug-in truth")
     if args.counts is not None and args.plug_in is not None:
@@ -330,17 +328,16 @@ def _cmd_advise(args) -> int:
             raise _UsageError("--plug-in truth needs --n and --nstar")
         dq = derive(model)
         rec = advise_from_marginals(
-            model.group_sizes, dq.marginals.tolist(), args.n, args.nstar,
-            stage=args.stage,
+            model.group_sizes, dq.marginals.tolist(), args.n, args.nstar, stage
         )
     else:
         path = Path(args.counts)
         if not path.is_file():
             raise ParseError(f"counts file {args.counts!r} does not exist")
         counts = parse_counts_text(path.read_text(encoding="utf-8"))
-        if args.stage == "plan" and args.n is None:
+        if stage is AdviceContext.PLANNING and args.n is None:
             raise _UsageError("--stage plan needs --n (candidate present size)")
-        rec = advise(counts, model.group_sizes, stage=args.stage, n=args.n)
+        rec = advise(counts, model.group_sizes, stage, args.n)
 
     header = ["model", "stage", "n", "nstar", "statistic", "decision",
               "plug_in_marginals"]
@@ -371,24 +368,14 @@ _RSS_GRIDS = {
 def _cmd_reproduce(args) -> int:
     model_name = BUNDLED_MODEL_NAMES[args.example - 1]
     model = load_model(model_name)
-    precision = args.precision
-    rows: list[list[str]] = []
     if args.table == "risk":
-        config = SimulationConfig(replications=args.reps, seed=args.seed)
+        rows = [_RISK_HEADER[args.method]]
         for n, ns in _RISK_GRIDS[args.example]:
-            if args.method == "app":
-                block = _risk_rows_app(model_name, model, _ALL_KINDS, n, ns,
-                                       precision)
-            else:
-                block = _risk_rows_sim(model_name, model, _ALL_KINDS, n, ns,
-                                       config, args.threads, precision)
-            if not rows:
-                rows.append(block[0])
-            rows.append(block[1])
+            rows.append(_risk_row(model_name, model, _ALL_KINDS, n, ns, args))
     else:
         kind = (RssKind.PRIOR_TO_PRESENT if args.table == "rss-prior"
                 else RssKind.PRESENT_TO_POOLED)
-        rows.append(_RSS_HEADER)
+        rows = [_RSS_HEADER]
         for n0 in _RSS_GRIDS[args.example]:
             n0_star = n0 if kind is RssKind.PRESENT_TO_POOLED else None
             rows.append(_rss_row(model_name, model, kind, n0, n0_star, args))
@@ -473,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "and with --stage plan)")
     p_advise.add_argument("--nstar", type=_positive_int,
                           help="prior size (required with --plug-in truth)")
-    p_advise.add_argument("--stage", choices=("post", "plan"), default="post")
+    p_advise.add_argument("--stage", choices=tuple(_STAGES), default="post")
     p_advise.set_defaults(func=_cmd_advise)
 
     p_rep = sub.add_parser("reproduce", parents=[common, sim_flags],

@@ -384,12 +384,15 @@ def simulate_risk(
     ``workers`` must be integers (numpy integers work; a fractional value
     or a bool raises DomainError).  A present size below the number of
     groups raises RejectionBudgetExceeded at once, since no draw could be
-    accepted, and for the prior and pooled estimators (n + n*) * n >= 2**63
-    raises DomainError.
+    accepted.  Sizes outside the engine's range raise DomainError before
+    anything is drawn: n >= 2**63 for every kind, and for the prior and
+    pooled kinds n* > 2**51 or n + n* >= 2**63.
     """
     if not isinstance(kind, EstimatorKind):
         raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n = as_int(n, "n")
+    if n >= 2**63:
+        raise DomainError(f"n must be below 2**63, got n={n}")
     if n < model.n_groups:
         raise RejectionBudgetExceeded(
             f"n={n} is below the number of groups ({model.n_groups}), so "
@@ -401,11 +404,13 @@ def simulate_risk(
         if n_star is None:
             raise MissingNStar(f"estimator {kind.value!r} needs n_star")
         n_star = as_int(n_star, "n_star")
-        # the documented size bound of the prior and pooled kinds; it keeps
-        # n + n* and every count well inside int64
-        if (n + n_star) * n >= 2**63:
+        # past about 3e9 trials binom.ppf draws every prior count, and it
+        # returns NaN once the count nears 0.75 * 2**52
+        if n_star > 2**51:
+            raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
+        if n + n_star >= 2**63:
             raise DomainError(
-                f"(n + n*) * n must be below 2**63, got n={n}, n*={n_star}"
+                f"n + n* must be below 2**63, got n={n}, n*={n_star}"
             )
     workers = as_int(workers, "workers")
 

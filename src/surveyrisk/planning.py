@@ -47,12 +47,15 @@ Advisor.  The present-vs-pooled risk gap depends only on first-stage
 quantities (I, s_i, m_i., M_f), so it can be evaluated with estimated
 marginals plugged in:
 
-* after both surveys ran ("post"), plug in the pooled marginals
-  (x_i. + x*_i)/(n + n*): a positive gap says pooling lowers risk, a
-  negative one says to use the present survey alone;
-* at the planning stage ("plan"), plug in the prior marginals x*_i/n*
-  at the candidate n: a negative gap flags n as too small for pooling
-  to help, so increase it (or simplify the second stage).
+* after both surveys ran (``AdviceContext.POST_SURVEY``), plug in the
+  pooled marginals (x_i. + x*_i)/(n + n*): a positive gap says pooling
+  lowers risk, a negative one says to use the present survey alone;
+* at the planning stage (``AdviceContext.PLANNING``), plug in the prior
+  marginals x*_i/n* at the candidate n: a negative gap flags n as too
+  small for pooling to help, so increase it (or simplify the second
+  stage).
+
+Any other ``stage`` value, strings included, raises DomainError.
 
 A gap of exactly zero resolves to UsePooled: at the boundary of the
 truncated expansion pooling is not predicted to hurt.
@@ -274,20 +277,24 @@ def _layout(group_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(as_int(j, "a group size", least=0) for j in group_sizes)
 
 
+def _check_stage(stage: AdviceContext) -> None:
+    if not isinstance(stage, AdviceContext):
+        raise DomainError(f"stage must be an AdviceContext, got {stage!r}")
+
+
 def advise_from_marginals(
     group_sizes: Sequence[int],
     marginals: Sequence[float],
     n: int,
     n_star: int,
-    stage: str = "post",
+    stage: AdviceContext = AdviceContext.POST_SURVEY,
 ) -> Recommendation:
     """Advise from explicit plug-in marginals (e.g. the true ones).
 
     All inputs of the gap statistic (I, s_i, M_f and the marginals) are
     recomputed from what is passed here; nothing else is consulted.
     """
-    if stage not in ("post", "plan"):
-        raise DomainError(f"stage must be 'post' or 'plan', got {stage!r}")
+    _check_stage(stage)
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
     if len(group_sizes) != len(marginals):
         raise ShapeError(
@@ -306,18 +313,15 @@ def advise_from_marginals(
     s = [j - 1 for j in _layout(group_sizes)]
     if any(x < 0 for x in s):
         raise ShapeError("every group needs at least one cell")
-    M_f = math.fsum(1.0 / m for m in marginals)
-    stat = gap_first_stage(EstimatorKind.POOLED, s, list(marginals), M_f, n, n_star)
-    if stage == "post":
+    stat = gap_first_stage(EstimatorKind.POOLED, s, list(marginals), n, n_star)
+    if stage is AdviceContext.POST_SURVEY:
         decision = Decision.USE_POOLED if stat >= 0.0 else Decision.USE_PRESENT_ONLY
-        context = AdviceContext.POST_SURVEY
     else:
         decision = Decision.INCREASE_N if stat < 0.0 else Decision.USE_POOLED
-        context = AdviceContext.PLANNING
     return Recommendation(
         statistic=stat,
         decision=decision,
-        context=context,
+        context=stage,
         n=n,
         n_star=n_star,
         plug_in_marginals=tuple(float(m) for m in marginals),
@@ -327,7 +331,7 @@ def advise_from_marginals(
 def advise(
     counts: SurveyCounts,
     group_sizes: Sequence[int],
-    stage: str = "post",
+    stage: AdviceContext = AdviceContext.POST_SURVEY,
     n: int | None = None,
 ) -> Recommendation:
     """Advise from survey counts.
@@ -338,6 +342,7 @@ def advise(
     present size ``n`` and plugs in the prior marginals; the present part
     of ``counts`` is ignored in that mode.
     """
+    _check_stage(stage)
     if _layout(group_sizes) != counts.group_sizes:
         raise ShapeError(
             f"layout {tuple(group_sizes)} does not match counts layout "
@@ -350,22 +355,13 @@ def advise(
     if n_star < 1:
         raise DomainError("prior survey is empty (n* = 0)")
 
-    if stage == "post":
-        n_present = counts.n
-        if n_present < 1:
+    if stage is AdviceContext.POST_SURVEY:
+        n = counts.n
+        if n < 1:
             raise DomainError("present survey is empty (n = 0)")
-        totals = counts.group_totals
-        denom = n_present + n_star
-        marginals = [
-            (t + xs) / denom for t, xs in zip(totals, counts.prior)
-        ]
-        return advise_from_marginals(
-            group_sizes, marginals, n_present, n_star, stage="post"
-        )
-    if stage == "plan":
+        marginals = [(t + xs) / (n + n_star)
+                     for t, xs in zip(counts.group_totals, counts.prior)]
+    else:
         n = as_int(n, "planning advice's candidate present size n")
         marginals = [xs / n_star for xs in counts.prior]
-        return advise_from_marginals(
-            group_sizes, marginals, n, n_star, stage="plan"
-        )
-    raise DomainError(f"stage must be 'post' or 'plan', got {stage!r}")
+    return advise_from_marginals(group_sizes, marginals, n, n_star, stage)

@@ -21,6 +21,7 @@ from surveyrisk import (
     build_model,
     derive,
 )
+from surveyrisk.asymptotics import gap_first_stage
 from surveyrisk.model import as_int
 
 
@@ -54,6 +55,11 @@ def random_estimate(rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # reference formulas
 # ---------------------------------------------------------------------------
+
+def gap(kind: EstimatorKind, dq, n: int, n_star: int) -> float:
+    """risk(present) - risk(kind) at the model's own marginals."""
+    return gap_first_stage(kind, dq.s.tolist(), dq.marginals.tolist(), n, n_star)
+
 
 def inverse_cell_sum(model: TwoStageModel) -> float:
     """M = sum_ij 1/m_ij, summed group-major with ``math.fsum``."""

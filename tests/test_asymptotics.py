@@ -15,11 +15,10 @@ from surveyrisk import (
     bundled_model,
     derive,
     risk_app,
-    risk_gap_present_pooled,
-    risk_gap_present_prior,
 )
 from surveyrisk.asymptotics import gap_first_stage
 from helpers import (
+    gap,
     inverse_cell_sum,
     random_model,
     risk_app_closed_form,
@@ -125,8 +124,8 @@ def test_gap_equals_difference_of_totals():
         pre = risk_app(EstimatorKind.PRESENT, dq, n).total
         pri = risk_app(EstimatorKind.PRIOR, dq, n, ns).total
         poo = risk_app(EstimatorKind.POOLED, dq, n, ns).total
-        assert abs(risk_gap_present_prior(dq, n, ns) - (pre - pri)) <= 1e-15 * 100
-        assert abs(risk_gap_present_pooled(dq, n, ns) - (pre - poo)) <= 1e-15 * 100
+        assert abs(gap(EstimatorKind.PRIOR, dq, n, ns) - (pre - pri)) <= 1e-15 * 100
+        assert abs(gap(EstimatorKind.POOLED, dq, n, ns) - (pre - poo)) <= 1e-15 * 100
 
 
 def test_gap_present_prior_at_equal_sizes():
@@ -139,18 +138,18 @@ def test_gap_present_prior_at_equal_sizes():
         n = int(rng.integers(10, 2000))
         want = -sum(float(s) * (1.0 / float(m) - 1.0)
                     for s, m in zip(dq.s, dq.marginals)) / (2.0 * n * n)
-        got = risk_gap_present_prior(dq, n, n)
+        got = gap(EstimatorKind.PRIOR, dq, n, n)
         assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-18)
         if any(s > 0 for s in dq.s):
             assert got < 0.0
 
 
 def test_gap_reference_values():
-    assert math.isclose(risk_gap_present_prior(UNIFORM, 200, 200),
+    assert math.isclose(gap(EstimatorKind.PRIOR, UNIFORM, 200, 200),
                         -0.002475, abs_tol=1e-9)
-    assert math.isclose(risk_gap_present_pooled(UNIFORM, 200, 200),
+    assert math.isclose(gap(EstimatorKind.POOLED, UNIFORM, 200, 200),
                         1.71875e-5, abs_tol=1e-12)
-    assert math.isclose(risk_gap_present_pooled(UNIFORM, 90, 1000),
+    assert math.isclose(gap(EstimatorKind.POOLED, UNIFORM, 90, 1000),
                         -0.006085554173537789, abs_tol=1e-15)
 
 
@@ -159,9 +158,10 @@ def test_gap_of_a_kind_that_is_not_a_member_is_refused(bad):
     """A kind outside the enum used to fall through to the pooled branch:
     ``"prior"`` on breast-cancer gave the pooled gap at (200, 600)."""
     dq = derive(bundled_model("example2-breast-cancer"))
-    args = (dq.s.tolist(), dq.marginals.tolist(), dq.M_f, 200, 600)
-    assert gap_first_stage(EstimatorKind.PRIOR, *args) == \
-        risk_gap_present_prior(dq, 200, 600)
+    args = (dq.s.tolist(), dq.marginals.tolist(), 200, 600)
+    want = (risk_app(EstimatorKind.PRESENT, dq, 200).total
+            - risk_app(EstimatorKind.PRIOR, dq, 200, 600).total)
+    assert abs(gap_first_stage(EstimatorKind.PRIOR, *args) - want) <= 1e-13
     with pytest.raises(DomainError, match="EstimatorKind"):
         gap_first_stage(bad, *args)
 
@@ -169,7 +169,7 @@ def test_gap_of_a_kind_that_is_not_a_member_is_refused(bad):
 def test_gap_vanishes_without_second_stage():
     dq = derive(build_model([[0.3], [0.7]]))
     n = 50
-    assert risk_gap_present_prior(dq, n, n) == 0.0
+    assert gap(EstimatorKind.PRIOR, dq, n, n) == 0.0
 
 
 def test_gap_present_pooled_positive_at_tiny_prior():
@@ -177,7 +177,7 @@ def test_gap_present_pooled_positive_at_tiny_prior():
     n is moderate: the first-order term dominates."""
     for cells in ([[0.25, 0.25], [0.25, 0.25]], [[0.2, 0.2], [0.3, 0.3]]):
         dq = derive(build_model(cells))
-        assert risk_gap_present_pooled(dq, 100, 1) > 0.0
+        assert gap(EstimatorKind.POOLED, dq, 100, 1) > 0.0
 
 
 def test_pooled_always_beats_prior_in_expansion():

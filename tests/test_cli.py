@@ -324,3 +324,26 @@ def test_dump_model_keeps_the_name_from_the_model_file(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "model coffee-shop"
+
+
+@pytest.mark.parametrize("stage, context", [("post", "PostSurvey"),
+                                            ("plan", "Planning")])
+def test_advise_stage_flag_names_the_context(stage, context, tmp_path, capsys):
+    path = tmp_path / "survey.counts"
+    path.write_text(COUNTS_TEXT, encoding="utf-8")
+    model = tmp_path / "toy.model"
+    model.write_text(MODEL_TEXT, encoding="utf-8")
+    for source in (["--plug-in", "truth", "--nstar", "1000"],
+                   ["--counts", str(path)]):
+        assert run(["advise", "--model", str(model), "--n", "90",
+                    "--stage", stage, *source]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == context
+
+
+def test_sizes_outside_the_engine_range_exit_1(capsys):
+    """These once printed inf,nan with exit status 0, or a traceback."""
+    for sizes in (["--estimator", "prior", "--n", "200", "--nstar", str(2**53)],
+                  ["--estimator", "present", "--n", str(2**63)]):
+        assert run(["risk", "--model", "example1-uniform100x2", "--method",
+                    "sim", "--reps", "64", *sizes]) == 1
+        assert "DomainError" in capsys.readouterr().err

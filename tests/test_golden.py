@@ -40,11 +40,11 @@ from surveyrisk import (
     derive,
     required_sample_size,
     risk_app,
-    risk_gap_present_pooled,
-    risk_gap_present_prior,
     simulate_risk,
 )
 from surveyrisk import montecarlo
+from surveyrisk.cli import _STAGES
+from helpers import gap
 
 #: (model, kind, n, n*, replications, seed) -> (mean_loss, std_error, discard_rate)
 SIMULATED = {
@@ -295,11 +295,11 @@ def _approximate(function, name, variant, n, n_star):
         r = risk_app(EstimatorKind(variant), dq, n, n_star)
         return (r.first_order, r.second_order, r.total)
     if function == "risk_gap_present_prior":
-        return (risk_gap_present_prior(dq, n, n_star),)
+        return (gap(EstimatorKind.PRIOR, dq, n, n_star),)
     if function == "risk_gap_present_pooled":
-        return (risk_gap_present_pooled(dq, n, n_star),)
+        return (gap(EstimatorKind.POOLED, dq, n, n_star),)
     rec = advise_from_marginals(
-        model.group_sizes, dq.marginals.tolist(), n, n_star, variant
+        model.group_sizes, dq.marginals.tolist(), n, n_star, _STAGES[variant]
     )
     return (rec.statistic, rec.decision.value)
 

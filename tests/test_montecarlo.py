@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from surveyrisk import (
+    AdviceContext,
     BLOCK_SIZE,
     BUNDLED_MODEL_NAMES,
     DomainError,
@@ -35,14 +36,12 @@ from surveyrisk import (
     kl_divergence,
     required_sample_size,
     risk_app,
-    risk_gap_present_pooled,
-    risk_gap_present_prior,
     simulate_risk,
 )
 from surveyrisk import montecarlo
 from surveyrisk.montecarlo import _binom_inverse
 from surveyrisk.planning import MAX_DOUBLINGS
-from helpers import inverse_cell_sum, risk_app_closed_form, risk_full_model
+from helpers import gap, inverse_cell_sum, risk_app_closed_form, risk_full_model
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
 BREAST_CANCER = bundled_model("example2-breast-cancer")
@@ -191,15 +190,48 @@ def test_present_size_below_group_count_fails_fast():
 
 
 def test_sizes_whose_estimates_overflow_int64_are_refused():
-    """Sizes with (n + n*) * n at or above 2**63 lie outside the engine's
-    documented range for the prior and pooled kinds, so they are refused
-    before anything is drawn."""
+    """Sizes outside the engine's documented range for the prior and
+    pooled kinds are refused before anything is drawn."""
     cfg = SimulationConfig(replications=20_000, seed=0)
     start = time.perf_counter()
     for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
-        with pytest.raises(DomainError, match="2\\*\\*63"):
+        with pytest.raises(DomainError, match="2\\*\\*51"):
             simulate_risk(kind, BREAST_CANCER, 200, 2**62, cfg)
     assert time.perf_counter() - start < 0.5
+
+
+#: a model whose prior draw has q = 0.999; the nearer q is to 1, the
+#: fewer trials ``binom.ppf`` takes to start returning NaN
+SKEWED = build_model([[0.999], [0.0004, 0.0006]])
+
+
+@pytest.mark.parametrize("model", [UNIFORM_2X2, BREAST_CANCER, SKEWED])
+@pytest.mark.parametrize("kind", [EstimatorKind.PRIOR, EstimatorKind.POOLED])
+def test_largest_prior_size_gives_a_finite_risk(model, kind):
+    """n* = 2**51 gives a finite risk without warnings; one past it is
+    refused.  At 2**53 ``binom.ppf`` returned NaN, which became a garbage
+    count and an infinite mean loss, and a run at 2**55 took longer than
+    40 s."""
+    cfg = SimulationConfig(replications=64, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = simulate_risk(kind, model, 200, 2**51, cfg)
+    assert math.isfinite(r.mean_loss) and math.isfinite(r.std_error)
+    for n_star in (2**51 + 1, 2**53, 2**55):
+        with pytest.raises(DomainError, match=f"got n\\*={n_star}"):
+            simulate_risk(kind, model, 200, n_star, cfg)
+
+
+def test_sizes_past_int64_are_refused_for_every_kind():
+    """A present size of 2**63 once raised a bare StopIteration from the
+    memo's count dtype; n + n* past int64 would overflow the pooled sum."""
+    cfg = SimulationConfig(replications=64, seed=0)
+    for kind in EstimatorKind:
+        with pytest.raises(DomainError, match=f"got n={2**63}"):
+            simulate_risk(kind, UNIFORM_2X2, 2**63, 200, cfg)
+    for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
+        with pytest.raises(DomainError, match="n \\+ n\\* must be below 2\\*\\*63"):
+            simulate_risk(kind, UNIFORM_2X2, 2**63 - 2**50, 2**51, cfg)
 
 
 def _inverse_grid():
@@ -286,9 +318,9 @@ def test_fractional_or_bool_sizes_are_refused(bad):
     sizes, marginals = BREAST_CANCER.group_sizes, dq.marginals.tolist()
     for n, n_star in ((bad, 600), (200, bad)):
         with pytest.raises(DomainError):
-            risk_gap_present_prior(dq, n, n_star)
+            gap(EstimatorKind.PRIOR, dq, n, n_star)
         with pytest.raises(DomainError):
-            risk_gap_present_pooled(dq, n, n_star)
+            gap(EstimatorKind.POOLED, dq, n, n_star)
         with pytest.raises(DomainError):
             advise_from_marginals(sizes, marginals, n, n_star)
 
@@ -306,7 +338,7 @@ def test_fractional_or_bool_sizes_are_refused(bad):
         prior=(26, 63, 67, 40, 5),
     )
     with pytest.raises(DomainError):
-        advise(counts, sizes, stage="plan", n=bad)
+        advise(counts, sizes, AdviceContext.PLANNING, n=bad)
 
 
 @pytest.mark.parametrize(

@@ -103,3 +103,37 @@ def test_demos_import_only_names_that_exist():
                             f"{alias.name}" for alias in node.names
                             if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name, attribute and imported name the code in ``path`` uses."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_function_has_a_caller_besides_the_tests():
+    """A public function that only tests call is surface to keep working
+    for no user; each one is used by another package module, a demo or
+    the benchmark."""
+    bench = PACKAGE.parents[1] / "perfbench"
+    callers = [path for path in (*sorted(PACKAGE.glob("*.py")),
+                                 *sorted(DEMOS.glob("*.py")),
+                                 *sorted(bench.glob("*.py")))
+               if not path.name.startswith("test_")]
+    uses = {path: _identifiers(path) for path in callers}
+    unused = []
+    for name in surveyrisk.__all__:
+        value = getattr(surveyrisk, name)
+        if not inspect.isfunction(value):
+            continue
+        home = PACKAGE / f"{value.__module__.rsplit('.', 1)[-1]}.py"
+        if not any(name in used for path, used in uses.items() if path != home):
+            unused.append(name)
+    assert unused == []

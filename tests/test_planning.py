@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from surveyrisk import (
     derive,
     required_sample_size,
     risk_app,
-    risk_gap_present_pooled,
 )
+from helpers import gap
 
 UNIFORM = bundled_model("example1-uniform100x2")
 UNIFORM_DQ = derive(UNIFORM)
@@ -300,17 +301,17 @@ def test_advise_from_truth_marginals_well_behaved_point():
     assert rec.statistic > 0.0
     # the statistic is exactly the expansion gap at the plug-in marginals
     assert math.isclose(rec.statistic,
-                        risk_gap_present_pooled(dq2, 1000, 1000),
+                        gap(EstimatorKind.POOLED, dq2, 1000, 1000),
                         rel_tol=0, abs_tol=0)
 
 
 def test_advise_planning_stage_decisions():
     rec_low = advise_from_marginals(UNIFORM.group_sizes, [0.5, 0.5], 90, 1000,
-                                    stage="plan")
+                                    stage=AdviceContext.PLANNING)
     assert rec_low.context is AdviceContext.PLANNING
     assert rec_low.decision is Decision.INCREASE_N
     rec_ok = advise_from_marginals(UNIFORM.group_sizes, [0.5, 0.5], 2000, 1000,
-                                   stage="plan")
+                                   stage=AdviceContext.PLANNING)
     assert rec_ok.decision is Decision.USE_POOLED
 
 
@@ -329,7 +330,7 @@ def test_advise_counts_post_survey_uses_pooled_marginals():
 
 def test_advise_counts_planning_ignores_present_cells():
     counts = SurveyCounts(present=((1, 1), (1, 1)), prior=(500, 500))
-    rec = advise(counts, (2, 2), stage="plan", n=90)
+    rec = advise(counts, (2, 2), stage=AdviceContext.PLANNING, n=90)
     assert rec.context is AdviceContext.PLANNING
     assert rec.n == 90
     assert rec.plug_in_marginals == (0.5, 0.5)
@@ -364,21 +365,34 @@ def test_advise_error_paths():
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(5, 5)), (2, 3))
     with pytest.raises(DomainError):
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(5, 5)),
-               (2, 2), stage="plan")  # no candidate n
+               (2, 2), stage=AdviceContext.PLANNING)  # no candidate n
     with pytest.raises(ZeroGroupCount):
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(10, 0)),
-               (2, 2), stage="plan", n=50)
+               (2, 2), stage=AdviceContext.PLANNING, n=50)
     with pytest.raises(DomainError):
         advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, stage="nope")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("stage", ["post", "plan"])
+@pytest.mark.parametrize("stage", list(AdviceContext), ids=["post", "plan"])
 def test_non_finite_plug_in_marginals_are_refused(bad, stage):
     """A NaN or infinite marginal once gave a NaN or meaningless statistic
     and a decision; it is refused, naming the group."""
     with pytest.raises(DomainError, match="group 0"):
         advise_from_marginals((3, 3), [bad, 0.5], 100, 100, stage)
+
+
+@pytest.mark.parametrize(
+    "bad", ["post", "plan", "PostSurvey", None, EstimatorKind.POOLED])
+def test_an_advice_stage_that_is_not_a_member_is_refused(bad):
+    """The strings the stage once was are refused, not converted: a
+    second way to name a stage would be a second rule free to drift."""
+    named = re.escape(repr(bad))
+    counts = SurveyCounts(present=((3, 4), (5, 6)), prior=(40, 60))
+    with pytest.raises(DomainError, match=named):
+        advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, bad)
+    with pytest.raises(DomainError, match=named):
+        advise(counts, (2, 2), bad, n=90)
 
 
 def test_advisor_group_sizes_are_integers():
