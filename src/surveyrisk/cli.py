@@ -337,6 +337,8 @@ def _cmd_advise(args) -> int:
         counts = parse_counts_text(path.read_text(encoding="utf-8"))
         if stage is AdviceContext.PLANNING and args.n is None:
             raise _UsageError("--stage plan needs --n (candidate present size)")
+        if stage is AdviceContext.POST_SURVEY and args.n is not None:
+            raise _UsageError("--stage post takes n from the counts; drop --n")
         rec = advise(counts, model.group_sizes, stage, args.n)
 
     header = ["model", "stage", "n", "nstar", "statistic", "decision",
@@ -457,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "decision statistic")
     p_advise.add_argument("--n", type=_positive_int,
                           help="present size (required with --plug-in truth "
-                               "and with --stage plan)")
+                               "and with --stage plan, refused with --counts "
+                               "at --stage post)")
     p_advise.add_argument("--nstar", type=_positive_int,
                           help="prior size (required with --plug-in truth)")
     p_advise.add_argument("--stage", choices=tuple(_STAGES), default="post")

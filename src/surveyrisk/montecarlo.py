@@ -21,7 +21,9 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      replication (numpy's generator, which chains conditioned binomials);
   2. rejection pass: rows with an empty group are redrawn, ascending row
      order, until all rows pass or a row exhausts its rejection budget;
-  3. second-stage cells: per group, multinomial(group total, conditionals);
+  3. second-stage cells: per group, multinomial(group total, conditionals),
+     a wide group in row chunks taken in row order, which consume the
+     stream exactly as one call over all rows would;
   4. prior counts: a (rows, I-1) uniform array, then a chained binomial
      inverse-CDF per group.  The counts are exactly the integers
      ``scipy.stats.binom.ppf`` returns, reached through a checked guess:
@@ -63,10 +65,11 @@ Memo of present draws.  A block's present surveys and the Philox state
 after them depend only on (model cells, group sizes, n, seed,
 replications), never on the kind, n* or ``workers``.  The module keeps
 one slot under that key, an object that draws its own blocks and keeps,
-per block, the totals, the second-stage KLs D (the cells themselves are
-not kept), the discard count and that state, so a prior draw continues
-the same stream; and the prior counts for the most recent n* only, so a
-prior and a pooled call at the same (n, n*) draw them once.  Counts are
+per block, the totals, the second-stage KLs D (a block's cells are
+never held whole: each chunk is reduced to D as it is drawn), the
+discard count and that state, so a prior draw continues the same
+stream; and the prior counts for the most recent n* only, so a prior
+and a pooled call at the same (n, n*) draw them once.  Counts are
 stored read-only in the smallest of uint8, uint16, uint32 and int64 that
 holds their sum, and widened to int64 when read.  A call with another
 key replaces the slot; a call whose entries would exceed
@@ -109,6 +112,10 @@ BLOCK_SIZE = 4096
 #: draws one replication may discard before the run gives up; read when
 #: each block draws
 _MAX_REJECTIONS = 10**6
+
+#: bytes of int64 cells per second-stage multinomial call; wider groups
+#: are drawn in row chunks, which changes no result
+_CHUNK_BYTES = 2**18
 
 #: bytes of entries (totals, second-stage KLs and prior counts) the memo
 #: of present draws may hold; a call that would store more is not memoized
@@ -157,15 +164,15 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_present(
+def _draw_totals(
     gen: np.random.Generator,
     dq: DerivedQuantities,
     n: int,
     rows: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Group totals and cells for ``rows`` replications, discard rule applied.
+) -> tuple[np.ndarray, int]:
+    """Group totals for ``rows`` replications, discard rule applied.
 
-    Returns (totals, cells, discarded).
+    Returns (totals, discarded).
     """
     totals = gen.multinomial(n, dq.marginals, size=rows).astype(np.int64)
     rejections = np.zeros(rows, dtype=np.int64)
@@ -183,14 +190,7 @@ def _draw_present(
             )
         discarded += int(bad.size)
         totals[bad] = gen.multinomial(n, dq.marginals, size=bad.size)
-
-    cells = np.empty((rows, dq.p_total + 1), dtype=np.int64)
-    start = 0
-    for gi, conditionals in enumerate(dq.conditionals):
-        stop = start + conditionals.size
-        cells[:, start:stop] = gen.multinomial(totals[:, gi], conditionals)
-        start = stop
-    return totals, cells, discarded
+    return totals, discarded
 
 
 #: rows whose uniform lies within this relative distance of a CDF value
@@ -278,19 +278,6 @@ class _Draws:
         self._present: list[tuple | None] = [None] * n_blocks
         self._prior: list[tuple | None] = [None] * n_blocks
 
-    def _second_stage(self, totals: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """D[x_i./t_i : p_i] per row and group, read-only (rows, I) float64;
-        every t_i is at least 1."""
-        d = np.empty(totals.shape, dtype=np.float64)
-        start = 0
-        for gi, conditionals in enumerate(self.dq.conditionals):
-            stop = start + conditionals.size
-            within = cells[:, start:stop] / totals[:, gi, None]
-            d[:, gi] = np.sum(rel_entr(within, conditionals), axis=1)
-            start = stop
-        d.flags.writeable = False
-        return d
-
     def block(self, b: int, n_star: int | None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
         the prior counts are drawn after the present surveys, and are None
@@ -299,9 +286,17 @@ class _Draws:
         present = self._present[b]
         if present is None:
             gen = _block_generator(self.config.seed, b)
-            totals, cells, discarded = _draw_present(gen, self.dq, self.n, rows)
-            present = (_narrow(totals, self.n), self._second_stage(totals, cells),
-                       discarded, gen.bit_generator.state)
+            totals, discarded = _draw_totals(gen, self.dq, self.n, rows)
+            # D[x_i./t_i : p_i] per row and group; every t_i is at least 1
+            d = np.empty(totals.shape, dtype=np.float64)
+            for gi, conditionals in enumerate(self.dq.conditionals):
+                step = max(1, _CHUNK_BYTES // (8 * conditionals.size))
+                for lo in range(0, rows, step):
+                    t = totals[lo:lo + step, gi]
+                    within = gen.multinomial(t, conditionals) / t[:, None]
+                    d[lo:lo + step, gi] = np.sum(rel_entr(within, conditionals), axis=1)
+            d.flags.writeable = False
+            present = (_narrow(totals, self.n), d, discarded, gen.bit_generator.state)
             if self.keep:
                 self._present[b] = present
         *surveys, state = present
@@ -385,14 +380,16 @@ def simulate_risk(
     or a bool raises DomainError).  A present size below the number of
     groups raises RejectionBudgetExceeded at once, since no draw could be
     accepted.  Sizes outside the engine's range raise DomainError before
-    anything is drawn: n >= 2**63 for every kind, and for the prior and
-    pooled kinds n* > 2**51 or n + n* >= 2**63.
+    anything is drawn: n > 2**48 for every kind, and for the prior and
+    pooled kinds n* > 2**51.
     """
     if not isinstance(kind, EstimatorKind):
         raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n = as_int(n, "n")
-    if n >= 2**63:
-        raise DomainError(f"n must be below 2**63, got n={n}")
+    # the loss shrinks like 1/n; past 2**48 it nears the chain rule's
+    # rounding floor of about 1e-15 and the mean drifts off the risk
+    if n > 2**48:
+        raise DomainError(f"n must be at most 2**48, got n={n}")
     if n < model.n_groups:
         raise RejectionBudgetExceeded(
             f"n={n} is below the number of groups ({model.n_groups}), so "
@@ -408,10 +405,6 @@ def simulate_risk(
         # returns NaN once the count nears 0.75 * 2**52
         if n_star > 2**51:
             raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
-        if n + n_star >= 2**63:
-            raise DomainError(
-                f"n + n* must be below 2**63, got n={n}, n*={n_star}"
-            )
     workers = as_int(workers, "workers")
 
     dq = derive(model)

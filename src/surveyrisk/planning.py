@@ -338,9 +338,10 @@ def advise(
 
     ``group_sizes`` is the cell layout (J_i per group) and must match the
     counts.  Post-survey advice plugs the pooled marginals into the gap
-    statistic at the observed (n, n*).  Planning advice needs a candidate
-    present size ``n`` and plugs in the prior marginals; the present part
-    of ``counts`` is ignored in that mode.
+    statistic at the observed (n, n*), and refuses an ``n`` that it would
+    not use.  Planning advice needs a candidate present size ``n`` and
+    plugs in the prior marginals; the present part of ``counts`` is
+    ignored in that mode.
     """
     _check_stage(stage)
     if _layout(group_sizes) != counts.group_sizes:
@@ -356,6 +357,9 @@ def advise(
         raise DomainError("prior survey is empty (n* = 0)")
 
     if stage is AdviceContext.POST_SURVEY:
+        if n is not None:
+            raise DomainError(
+                f"post-survey advice takes n from the counts, got n={n!r}")
         n = counts.n
         if n < 1:
             raise DomainError("present survey is empty (n = 0)")

@@ -333,11 +333,28 @@ def test_advise_stage_flag_names_the_context(stage, context, tmp_path, capsys):
     path.write_text(COUNTS_TEXT, encoding="utf-8")
     model = tmp_path / "toy.model"
     model.write_text(MODEL_TEXT, encoding="utf-8")
-    for source in (["--plug-in", "truth", "--nstar", "1000"],
-                   ["--counts", str(path)]):
-        assert run(["advise", "--model", str(model), "--n", "90",
-                    "--stage", stage, *source]) == 0
+    # post-survey advice from counts takes n from the counts
+    with_counts = ["--counts", str(path)]
+    if stage == "plan":
+        with_counts += ["--n", "90"]
+    for source in (["--plug-in", "truth", "--n", "90", "--nstar", "1000"],
+                   with_counts):
+        assert run(["advise", "--model", str(model), "--stage", stage,
+                    *source]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[1] == context
+
+
+def test_post_survey_advice_from_counts_refuses_n(tmp_path, capsys):
+    """``--n`` once shaped nothing here: the row reported the counts' n
+    with exit status 0."""
+    path = tmp_path / "survey.counts"
+    path.write_text(COUNTS_TEXT, encoding="utf-8")
+    model = tmp_path / "toy.model"
+    model.write_text(MODEL_TEXT, encoding="utf-8")
+    assert run(["advise", "--model", str(model), "--counts", str(path),
+                "--stage", "post", "--n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "drop --n" in captured.err
 
 
 def test_sizes_outside_the_engine_range_exit_1(capsys):

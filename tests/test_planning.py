@@ -366,6 +366,9 @@ def test_advise_error_paths():
     with pytest.raises(DomainError):
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(5, 5)),
                (2, 2), stage=AdviceContext.PLANNING)  # no candidate n
+    with pytest.raises(DomainError, match="takes n from the counts"):
+        advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(5, 5)),
+               (2, 2), AdviceContext.POST_SURVEY, n=40)  # n it would ignore
     with pytest.raises(ZeroGroupCount):
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(10, 0)),
                (2, 2), stage=AdviceContext.PLANNING, n=50)
