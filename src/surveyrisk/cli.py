@@ -318,11 +318,6 @@ _STAGES = {"post": AdviceContext.POST_SURVEY, "plan": AdviceContext.PLANNING}
 def _cmd_advise(args) -> int:
     model = load_model(args.model)
     stage = _STAGES[args.stage]
-    if args.counts is None and args.plug_in is None:
-        raise _UsageError("advise needs --counts FILE or --plug-in truth")
-    if args.counts is not None and args.plug_in is not None:
-        raise _UsageError("--counts and --plug-in are mutually exclusive")
-
     if args.plug_in is not None:  # plug the model's own marginals in
         if args.n is None or args.nstar is None:
             raise _UsageError("--plug-in truth needs --n and --nstar")
@@ -331,6 +326,8 @@ def _cmd_advise(args) -> int:
             model.group_sizes, dq.marginals.tolist(), args.n, args.nstar, stage
         )
     else:
+        if args.nstar is not None:
+            raise _UsageError("--counts takes n* from the counts; drop --nstar")
         path = Path(args.counts)
         if not path.is_file():
             raise ParseError(f"counts file {args.counts!r} does not exist")
@@ -452,17 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_advise = sub.add_parser("advise", parents=[with_model],
                               help="should the prior survey be pooled in?")
-    p_advise.add_argument("--counts", help="counts file with present (+prior) "
-                                           "surveys")
-    p_advise.add_argument("--plug-in", choices=("truth",), dest="plug_in",
-                          help="plug the model's own marginals into the "
-                               "decision statistic")
+    source = p_advise.add_mutually_exclusive_group(required=True)
+    source.add_argument("--counts", help="counts file with present (+prior) "
+                                         "surveys")
+    source.add_argument("--plug-in", choices=("truth",), dest="plug_in",
+                        help="plug the model's own marginals into the "
+                             "decision statistic")
     p_advise.add_argument("--n", type=_positive_int,
                           help="present size (required with --plug-in truth "
                                "and with --stage plan, refused with --counts "
                                "at --stage post)")
     p_advise.add_argument("--nstar", type=_positive_int,
-                          help="prior size (required with --plug-in truth)")
+                          help="prior size (required with --plug-in truth, "
+                               "refused with --counts)")
     p_advise.add_argument("--stage", choices=tuple(_STAGES), default="post")
     p_advise.set_defaults(func=_cmd_advise)
 

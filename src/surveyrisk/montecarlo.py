@@ -69,10 +69,10 @@ per block, the totals, the second-stage KLs D (a block's cells are
 never held whole: each chunk is reduced to D as it is drawn), the
 discard count and that state, so a prior draw continues the same
 stream; and the prior counts for the most recent n* only, so a prior
-and a pooled call at the same (n, n*) draw them once.  Counts are
-stored read-only in the smallest of uint8, uint16, uint32 and int64 that
-holds their sum, and widened to int64 when read.  A call with another
-key replaces the slot; a call whose entries would exceed
+and a pooled call at the same (n, n*) draw them once.  Each entry is
+the array the block drew, marked read-only: int64 totals, float64 D and
+int64 prior counts, 8 bytes per (replication, group) each.  A call with
+another key replaces the slot; a call whose entries would exceed
 ``_MEMO_CAP_BYTES`` keeps nothing and releases it.  A hit returns
 exactly what a fresh draw would, so results do not change.
 """
@@ -174,7 +174,7 @@ def _draw_totals(
 
     Returns (totals, discarded).
     """
-    totals = gen.multinomial(n, dq.marginals, size=rows).astype(np.int64)
+    totals = gen.multinomial(n, dq.marginals, size=rows)
     rejections = np.zeros(rows, dtype=np.int64)
     discarded = 0
     while True:
@@ -295,8 +295,8 @@ class _Draws:
                     t = totals[lo:lo + step, gi]
                     within = gen.multinomial(t, conditionals) / t[:, None]
                     d[lo:lo + step, gi] = np.sum(rel_entr(within, conditionals), axis=1)
-            d.flags.writeable = False
-            present = (_narrow(totals, self.n), d, discarded, gen.bit_generator.state)
+            totals.flags.writeable = d.flags.writeable = False
+            present = (totals, d, discarded, gen.bit_generator.state)
             if self.keep:
                 self._present[b] = present
         *surveys, state = present
@@ -306,8 +306,9 @@ class _Draws:
         if prior is None or prior[0] != n_star:
             gen = _block_generator(self.config.seed, b)
             gen.bit_generator.state = state
-            prior = (n_star, _narrow(
-                _draw_prior(gen, self.dq.marginals, n_star, rows), n_star))
+            xstar = _draw_prior(gen, self.dq.marginals, n_star, rows)
+            xstar.flags.writeable = False
+            prior = (n_star, xstar)
             if self.keep:
                 self._prior[b] = prior
         return (*surveys, prior[1])
@@ -317,10 +318,14 @@ _memo: _Draws | None = None
 _memo_lock = threading.Lock()
 
 
-def _memo_slot(key: tuple, dq: DerivedQuantities, nbytes: int) -> _Draws:
-    """The memo slot for ``key``, made afresh when the key changes; over
-    the cap, a slot that keeps nothing, and the module slot is released."""
+def _memo_slot(key: tuple, dq: DerivedQuantities, prior: bool) -> _Draws:
+    """The memo slot for ``key``, made afresh when the key changes; when
+    its entries (totals, second-stage KLs and, if ``prior``, prior counts,
+    8 bytes per replication and group each) exceed the cap, a slot that
+    keeps nothing, and the module slot is released."""
     global _memo
+    _, group_sizes, _, config = key
+    nbytes = config.replications * len(group_sizes) * 8 * (3 if prior else 2)
     with _memo_lock:
         if nbytes > _MEMO_CAP_BYTES:
             _memo = None
@@ -330,19 +335,6 @@ def _memo_slot(key: tuple, dq: DerivedQuantities, nbytes: int) -> _Draws:
         return _memo
 
 
-def _count_dtype(total: int) -> np.dtype:
-    """The smallest of uint8, uint16, uint32 and int64 that holds ``total``."""
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.int64)
-                if total <= np.iinfo(t).max)
-
-
-def _narrow(counts: np.ndarray, total: int) -> np.ndarray:
-    """Read-only copy of counts at most ``total`` in ``_count_dtype(total)``."""
-    out = counts.astype(_count_dtype(total))
-    out.flags.writeable = False
-    return out
-
-
 def _block_losses(
     kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None
 ) -> tuple[np.ndarray, int]:
@@ -350,7 +342,6 @@ def _block_losses(
     discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
     first-stage estimate q_f."""
     totals, second_stage, discarded, xstar = draws.block(b, n_star)
-    totals = totals.astype(np.int64)
     if kind is EstimatorKind.PRESENT:
         first = totals / draws.n
     elif kind is EstimatorKind.PRIOR:
@@ -408,17 +399,12 @@ def simulate_risk(
     workers = as_int(workers, "workers")
 
     dq = derive(model)
-    groups = model.n_groups
     reps = config.replications
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
     discards = np.zeros(n_blocks, dtype=np.int64)
-    # per replication: totals, and one float64 second-stage KL per group
-    nbytes = reps * groups * (_count_dtype(n).itemsize + 8)
-    if n_star is not None:
-        nbytes += reps * groups * _count_dtype(n_star).itemsize
     key = (model.flat().tobytes(), model.group_sizes, n, config)
-    draws = _memo_slot(key, dq, nbytes)
+    draws = _memo_slot(key, dq, n_star is not None)
 
     def run_block(b: int) -> None:
         block, discards[b] = _block_losses(kind, draws, b, n_star)

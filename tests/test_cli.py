@@ -344,17 +344,29 @@ def test_advise_stage_flag_names_the_context(stage, context, tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[1].split(",")[1] == context
 
 
-def test_post_survey_advice_from_counts_refuses_n(tmp_path, capsys):
-    """``--n`` once shaped nothing here: the row reported the counts' n
-    with exit status 0."""
+@pytest.mark.parametrize("flags, message", [
+    (["--counts", "FILE", "--stage", "post", "--n", "40"], "drop --n"),
+    (["--counts", "FILE", "--stage", "post", "--nstar", "5000"], "drop --nstar"),
+    (["--counts", "FILE", "--stage", "plan", "--n", "90", "--nstar", "5000"],
+     "drop --nstar"),
+    ([], "one of the arguments --counts --plug-in is required"),
+    (["--counts", "FILE", "--plug-in", "truth", "--n", "90", "--nstar", "1000"],
+     "not allowed with argument"),
+], ids=["post-n", "post-nstar", "plan-nstar", "no-source", "both-sources"])
+def test_post_survey_advice_from_counts_refuses_n(flags, message, tmp_path,
+                                                  capsys):
+    """``--n`` at --stage post and ``--nstar`` at either stage once shaped
+    nothing beside ``--counts``: the row reported the counts' sizes with
+    exit status 0.  Neither or both of ``--counts`` and ``--plug-in`` is
+    refused too."""
     path = tmp_path / "survey.counts"
     path.write_text(COUNTS_TEXT, encoding="utf-8")
     model = tmp_path / "toy.model"
     model.write_text(MODEL_TEXT, encoding="utf-8")
-    assert run(["advise", "--model", str(model), "--counts", str(path),
-                "--stage", "post", "--n", "40"]) == 2
+    flags = [str(path) if flag == "FILE" else flag for flag in flags]
+    assert run(["advise", "--model", str(model), *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "drop --n" in captured.err
+    assert captured.out == "" and message in captured.err
 
 
 def test_sizes_outside_the_engine_range_exit_1(capsys):

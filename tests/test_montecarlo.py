@@ -540,6 +540,29 @@ def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
     assert len(present_draws) == 8
 
 
+def test_memo_entries_are_read_only_and_the_cap_sees_their_size(monkeypatch):
+    """Each entry is the array the block drew, marked read-only, and the
+    cap compares exactly the bytes those arrays hold."""
+    monkeypatch.setattr(montecarlo, "_memo", None)
+    cfg = SimulationConfig(BLOCK_SIZE + 1, seed=5)
+    want = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg)
+    draws = montecarlo._memo
+    nbytes = 0
+    for b in range(2):
+        totals, second_stage, _, xstar = draws.block(b, 300)
+        for entry in (totals, second_stage, xstar):
+            assert not entry.flags.writeable
+            with pytest.raises(ValueError):
+                entry[0, 0] = 0
+            nbytes += entry.nbytes
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes)
+    assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg) == want
+    assert montecarlo._memo is draws
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes - 1)
+    assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg) == want
+    assert montecarlo._memo is None
+
+
 def test_concurrent_callers_with_different_keys_get_serial_results():
     """User threads that share the memo, with different keys or with one
     key at different n*, each get what they get alone."""
