@@ -19,8 +19,10 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
 
   1. first-stage group totals: one multinomial(n, marginals) per
      replication (numpy's generator, which chains conditioned binomials);
-  2. rejection pass: rows with an empty group are redrawn, ascending row
-     order, until all rows pass or a row exhausts its rejection budget;
+  2. rejection rounds: each round redraws, in ascending row order, only
+     the rows whose last draw left a group empty.  A row is redrawn only
+     while it fails, so one still failing after k rounds was discarded k
+     times: the round count is the worst row's discard count;
   3. second-stage cells: per group, multinomial(group total, conditionals),
      a wide group in row chunks taken in row order, which consume the
      stream exactly as one call over all rows would;
@@ -109,8 +111,8 @@ __all__ = [
 #: results change if this changes
 BLOCK_SIZE = 4096
 
-#: draws one replication may discard before the run gives up; read when
-#: each block draws
+#: draws one replication may discard before the run gives up, which is
+#: the rounds of redraws a block may take; read when each block draws
 _MAX_REJECTIONS = 10**6
 
 #: bytes of int64 cells per second-stage multinomial call; wider groups
@@ -175,21 +177,19 @@ def _draw_totals(
     Returns (totals, discarded).
     """
     totals = gen.multinomial(n, dq.marginals, size=rows)
-    rejections = np.zeros(rows, dtype=np.int64)
-    discarded = 0
-    while True:
-        bad = np.flatnonzero((totals == 0).any(axis=1))
-        if bad.size == 0:
-            break
-        rejections[bad] += 1
-        worst = int(rejections.max())
-        if worst > _MAX_REJECTIONS:
+    bad = np.flatnonzero((totals == 0).any(axis=1))
+    discarded = rounds = 0
+    while bad.size:
+        rounds += 1
+        if rounds > _MAX_REJECTIONS:
             raise RejectionBudgetExceeded(
                 f"a replication discarded more than {_MAX_REJECTIONS} draws "
                 f"at n={n}; some group is almost never observed at this size"
             )
         discarded += int(bad.size)
-        totals[bad] = gen.multinomial(n, dq.marginals, size=bad.size)
+        redrawn = gen.multinomial(n, dq.marginals, size=bad.size)
+        totals[bad] = redrawn
+        bad = bad[(redrawn == 0).any(axis=1)]
     return totals, discarded
 
 

@@ -72,13 +72,14 @@ from .asymptotics import gap_first_stage, risk_app
 from .errors import (
     DomainError,
     MissingPriorCounts,
+    NotNormalized,
     ShapeError,
     SimulationNoise,
     Unattainable,
     ZeroGroupCount,
 )
 from .estimators import EstimatorKind
-from .model import SurveyCounts, TwoStageModel, as_int, derive
+from .model import NORMALIZATION_TOL, SurveyCounts, TwoStageModel, as_int, derive
 from .montecarlo import SimulationConfig, simulate_risk
 
 __all__ = [
@@ -118,8 +119,9 @@ class RssQuery:
 
     ``n0`` and a given ``n0_star`` are integers >= 1, stored as Python
     ints.  Present-vs-pooled needs ``n0_star``; prior-vs-present does not
-    use it and also accepts None.  A ``kind`` that is not an RssKind
-    member raises DomainError.
+    use it and also accepts None.  ``config`` is given exactly when
+    ``method`` is "sim".  A ``kind`` that is not an RssKind member, or a
+    config the method would not use, raises DomainError.
     """
 
     kind: RssKind
@@ -138,9 +140,9 @@ class RssQuery:
         vars(self).update(n0=n0, n0_star=n0_star)
         if self.method not in ("app", "sim"):
             raise DomainError(f"method must be 'app' or 'sim', got {self.method!r}")
-        if self.method == "sim" and self.config is None:
+        if (self.method == "sim") != (self.config is not None):
             raise DomainError(
-                "simulation method needs an explicit SimulationConfig"
+                "method 'sim' needs a SimulationConfig and 'app' takes none"
             )
 
 
@@ -292,7 +294,8 @@ def advise_from_marginals(
     """Advise from explicit plug-in marginals (e.g. the true ones).
 
     All inputs of the gap statistic (I, s_i, M_f and the marginals) are
-    recomputed from what is passed here; nothing else is consulted.
+    recomputed from what is passed here; nothing else is consulted.  The
+    marginals must be positive and sum to 1 within NORMALIZATION_TOL.
     """
     _check_stage(stage)
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
@@ -310,6 +313,9 @@ def advise_from_marginals(
                 f"plug-in marginal for group {i} is {m!r}; cannot evaluate "
                 f"the decision statistic"
             )
+    total = math.fsum(marginals)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(f"plug-in marginals sum to {total!r}, not 1")
     s = [j - 1 for j in _layout(group_sizes)]
     if any(x < 0 for x in s):
         raise ShapeError("every group needs at least one cell")

@@ -3,7 +3,8 @@
 The generators are driven by a caller-supplied Generator so test files
 stay deterministic; no global random state.  The reference formulas are
 independent reductions of the risk expansions that the tests compare
-``risk_app`` against; the package itself has no use for them.
+``risk_app`` against, and the reference discard loop is the engine's
+former per-row-counter loop; the package itself has no use for them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from surveyrisk import (
     EstimatorKind,
     MissingNStar,
     ProbabilityEstimate,
+    RejectionBudgetExceeded,
     TwoStageModel,
     build_model,
     derive,
@@ -121,3 +123,27 @@ def risk_app_closed_form(
         + (M_f - 1.0) / (12.0 * pooled * pooled)
         + tail / (12.0 * n * n)
     )
+
+
+def draw_totals_reference(gen: np.random.Generator, dq, n: int, rows: int,
+                          budget: int) -> tuple[np.ndarray, int]:
+    """Group totals with the discard rule, by a per-row discard counter:
+    every round rescans the whole block, counts a discard against each
+    failing row and gives up once some row's count exceeds ``budget``.
+
+    Returns (totals, discarded), like ``montecarlo._draw_totals`` with
+    ``_MAX_REJECTIONS`` set to ``budget``.
+    """
+    totals = gen.multinomial(n, dq.marginals, size=rows)
+    rejections = np.zeros(rows, dtype=np.int64)
+    discarded = 0
+    while True:
+        bad = np.flatnonzero((totals == 0).any(axis=1))
+        if bad.size == 0:
+            return totals, discarded
+        rejections[bad] += 1
+        if int(rejections.max()) > budget:
+            raise RejectionBudgetExceeded(
+                f"a replication discarded more than {budget} draws at n={n}")
+        discarded += int(bad.size)
+        totals[bad] = gen.multinomial(n, dq.marginals, size=bad.size)

@@ -201,12 +201,19 @@ def test_risk_sim_csv_embeds_provenance(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_rss_csv(capsys):
-    code = run(["rss", "--model", "example1-uniform100x2", "--kind",
-                "prior-vs-present", "--n0", "1000", "--method", "app"])
+@pytest.mark.parametrize("args, row", [
+    (["--model", "example1-uniform100x2", "--n0", "1000", "--method", "app"],
+     "example1-uniform100x2,prior-vs-present,app,1000,,,,1247"),
+    # the answer pinned in test_golden.RSS_SIMULATED
+    (["--model", "example2-breast-cancer", "--n0", "400", "--method", "sim",
+      "--reps", "4096", "--seed", "0"],
+     "example2-breast-cancer,prior-vs-present,sim,400,,0,4096,444"),
+], ids=["app", "sim"])
+def test_rss_csv(args, row, capsys):
+    code = run(["rss", "--kind", "prior-vs-present"] + args)
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert out[1].endswith(",1247")
+    assert out[1] == row
 
 
 def test_rss_prior_vs_present_row_ignores_n0star(capsys):

@@ -42,7 +42,8 @@ from surveyrisk import (
 from surveyrisk import montecarlo
 from surveyrisk.montecarlo import _binom_inverse
 from surveyrisk.planning import MAX_DOUBLINGS
-from helpers import gap, inverse_cell_sum, risk_app_closed_form, risk_full_model
+from helpers import (draw_totals_reference, gap, inverse_cell_sum,
+                     risk_app_closed_form, risk_full_model)
 
 UNIFORM_2X2 = build_model([[0.25, 0.25], [0.25, 0.25]])
 BREAST_CANCER = bundled_model("example2-breast-cancer")
@@ -144,6 +145,48 @@ def test_rejection_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", 3)
     with pytest.raises(RejectionBudgetExceeded):
         simulate_risk(EstimatorKind.PRESENT, skewed, 5, None, cfg)
+
+
+@st.composite
+def _discard_cases(draw):
+    """A model of 2-4 groups, one of them small (its cells scaled by 0.1
+    or 0.3), n from I to 12, 1-300 rows, a budget of 0-40 and a seed.
+    About a third of the examples discard and pass; most others exhaust
+    the budget, at budget 0 or at n = I, where nearly every draw leaves a
+    group empty."""
+    layout = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    small = draw(st.integers(0, len(layout) - 1))
+    scale = draw(st.sampled_from([1e-1, 3e-1]))
+    cells = [[draw(st.integers(1, 4)) * (scale if i == small else 1.0)
+              for _ in range(k)] for i, k in enumerate(layout)]
+    dq = derive(build_model(cells, renormalize=True))
+    return (dq, draw(st.integers(len(layout), 12)), draw(st.integers(1, 300)),
+            draw(st.integers(0, 40)), draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(_discard_cases())
+def test_discard_loop_matches_the_per_row_counter_loop(case):
+    """The engine's round-counting discard loop gives what a loop that
+    counts each row's discards gives: the same totals bytes, discard
+    count and generator state after it, or the same refusal at the same
+    point in the stream."""
+    dq, n, rows, budget, seed = case
+
+    def run(draw):
+        gen = montecarlo._block_generator(seed, 0)
+        try:
+            totals, discarded = draw(gen)
+            got = (totals.tobytes(), discarded)
+        except RejectionBudgetExceeded:
+            got = "refused"
+        return got, gen.random()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_MAX_REJECTIONS", budget)
+        engine = run(lambda gen: montecarlo._draw_totals(gen, dq, n, rows))
+    assert engine == run(
+        lambda gen: draw_totals_reference(gen, dq, n, rows, budget))
 
 
 def test_discard_probability_inclusion_exclusion():

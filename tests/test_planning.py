@@ -15,6 +15,7 @@ from surveyrisk import (
     DomainError,
     EstimatorKind,
     MissingPriorCounts,
+    NotNormalized,
     Recommendation,
     RiskEstimate,
     RssKind,
@@ -47,6 +48,9 @@ def test_query_validation():
         RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=100, method="nope")
     with pytest.raises(DomainError):
         RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=100, method="sim")
+    with pytest.raises(DomainError):  # a config app mode would ignore
+        RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=400, method="app",
+                 config=SimulationConfig(64, 3))
 
 
 def test_query_n0_star_is_an_integer_for_both_kinds():
@@ -374,6 +378,14 @@ def test_advise_error_paths():
                (2, 2), stage=AdviceContext.PLANNING, n=50)
     with pytest.raises(DomainError):
         advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, stage="nope")
+    # marginals that are not a probability vector once gave UsePooled
+    for bad in ([3.0, 5.0], [0.3, 0.3]):
+        with pytest.raises(NotNormalized):
+            advise_from_marginals((2, 2), bad, 90, 1000)
+    near = advise_from_marginals((2, 2), [0.5, 0.5 + 0.9e-9], 90, 1000)
+    exact = advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000)
+    assert near.decision is exact.decision
+    assert near.statistic == pytest.approx(exact.statistic, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
