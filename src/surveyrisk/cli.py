@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -400,7 +401,10 @@ def _seed_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing fills a fresh namespace per
+    call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="surveyrisk",
         description="Risk of two-stage multinomial survey estimators: "

@@ -80,10 +80,14 @@ class MissingNStar(SurveyRiskError):
 # ---------------------------------------------------------------------------
 
 class RejectionBudgetExceeded(SurveyRiskError):
-    """A replication exceeded the allowed number of discarded samples.
+    """A replication would need, or needed, more present draws than the
+    discard budget allows.
 
-    This signals that n is deep in the small-sample regime where some group
-    is almost never observed; increase n.
+    Raised before drawing when an upper bound on the acceptance probability
+    expects more draws per replication than the budget (always when n is
+    below the number of groups), and during drawing when an unlucky run
+    exhausts it anyway.  Either way n is deep in the small-sample regime
+    where some group is almost never observed; increase n.
     """
 
 

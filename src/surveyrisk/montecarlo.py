@@ -7,11 +7,11 @@ conditionals from :func:`surveyrisk.model.derive`, the same values the
 risk expansions use.  Present draws are conditioned on every group total
 being nonzero (otherwise the within-group conditionals are undefined):
 a draw with an empty group is discarded and redrawn whole, never
-renormalized.  Below n = I (the number of groups) every present draw
-is discarded, so such a run is refused before drawing.  Prior draws are
-unconditioned; a zero prior group count is fine because the
-corresponding estimate contributes zero loss under the 0 log 0
-convention.
+renormalized.  A run is refused before drawing when a one-sided bound on
+the acceptance probability, 0 below n = I (the number of groups), expects
+over ``_MAX_REJECTIONS`` draws per replication.  Prior draws are
+unconditioned; a zero prior group count is fine because the corresponding
+estimate contributes zero loss under the 0 log 0 convention.
 
 Reproducibility contract.  Replications are partitioned into fixed blocks
 of ``BLOCK_SIZE``.  Block b uses its own counter-based Philox generator
@@ -164,6 +164,17 @@ class RiskEstimate:
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _acceptance_bound(marginals: np.ndarray, n: int) -> float:
+    """Upper bound on P(a size-n present draw observes every group), 0 if
+    n < I: prod_{k<I} (1 - (1 - q_k)^(n-k+1)), q_k = m_k / (m_k + ... + m_I)
+    over ascending marginals.  Given groups 1..k-1 observed, at most n-k+1
+    draws are left, and each lands in group k with probability q_k."""
+    m = np.sort(marginals)
+    q = (m / np.cumsum(m[::-1])[::-1])[:-1].tolist()
+    return 0.0 if n < m.size else math.prod(
+        -math.expm1((n - k) * math.log1p(-qk)) for k, qk in enumerate(q))
 
 
 def _draw_totals(
@@ -368,24 +379,26 @@ def simulate_risk(
     EstimatorKind member (anything else raises DomainError), and
     ``n_star`` is ignored for the present estimator.  Sizes and
     ``workers`` must be integers (numpy integers work; a fractional value
-    or a bool raises DomainError).  A present size below the number of
-    groups raises RejectionBudgetExceeded at once, since no draw could be
-    accepted.  Sizes outside the engine's range raise DomainError before
-    anything is drawn: n > 2**48 for every kind, and for the prior and
-    pooled kinds n* > 2**51.
+    or a bool raises DomainError).  A size whose acceptance bound
+    (:func:`_acceptance_bound`) expects over ``_MAX_REJECTIONS`` draws per
+    replication raises RejectionBudgetExceeded before drawing.  Sizes
+    outside the engine's range raise DomainError before anything is drawn:
+    n > 2**48 for every kind, and for the prior and pooled kinds n* > 2**51.
     """
     if not isinstance(kind, EstimatorKind):
         raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
+    dq = derive(model)
     n = as_int(n, "n")
     # the loss shrinks like 1/n; past 2**48 it nears the chain rule's
     # rounding floor of about 1e-15 and the mean drifts off the risk
     if n > 2**48:
         raise DomainError(f"n must be at most 2**48, got n={n}")
-    if n < model.n_groups:
+    accept = _acceptance_bound(dq.marginals, n)
+    if accept * _MAX_REJECTIONS < 1:
         raise RejectionBudgetExceeded(
-            f"n={n} is below the number of groups ({model.n_groups}), so "
-            f"every present draw leaves some group empty"
-        )
+            f"at n={n} a present draw observes every group with probability at "
+            f"most {accept:.3g} (0 below the number of groups), so a replication "
+            f"expects over {_MAX_REJECTIONS} draws")
     if kind is EstimatorKind.PRESENT:
         n_star = None
     else:
@@ -398,7 +411,6 @@ def simulate_risk(
             raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
     workers = as_int(workers, "workers")
 
-    dq = derive(model)
     reps = config.replications
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from surveyrisk import DomainError, ParseError, build_model, bundled_model
 from surveyrisk.cli import (
     _parse_named_model,
+    build_parser,
     dump_model_text,
     load_model,
     parse_counts_text,
@@ -383,3 +389,32 @@ def test_sizes_outside_the_engine_range_exit_1(capsys):
         assert run(["risk", "--model", "example1-uniform100x2", "--method",
                     "sim", "--reps", "64", *sizes]) == 1
         assert "DomainError" in capsys.readouterr().err
+
+
+def test_a_reused_parser_keeps_no_values_between_calls(capsys):
+    """``run`` builds its parser once; a flag given to one call does not
+    leak into the next, which falls back to the default seed."""
+    assert build_parser() is build_parser()
+    args = ["risk", "--model", "example1-uniform100x2", "--estimator",
+            "present", "--method", "sim", "--n", "50", "--reps", "64"]
+    seeds = []
+    for extra in (["--seed", "9"], []):
+        assert run(args + extra) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        seeds.append(dict(zip(header.split(","), row.split(",")))["seed"])
+    assert seeds == ["9", "0"]
+
+
+def test_package_runs_as_a_module():
+    """``python -m surveyrisk`` is the command line without an installed
+    console script."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "surveyrisk", "rss", "--model",
+         "example1-uniform100x2", "--kind", "prior-vs-present", "--n0", "1000",
+         "--method", "app"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1] == (
+        "example1-uniform100x2,prior-vs-present,app,1000,,,,1247")

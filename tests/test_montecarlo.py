@@ -40,7 +40,7 @@ from surveyrisk import (
     simulate_risk,
 )
 from surveyrisk import montecarlo
-from surveyrisk.montecarlo import _binom_inverse
+from surveyrisk.montecarlo import _acceptance_bound, _binom_inverse
 from surveyrisk.planning import MAX_DOUBLINGS
 from helpers import (draw_totals_reference, gap, inverse_cell_sum,
                      risk_app_closed_form, risk_full_model)
@@ -138,13 +138,61 @@ def test_singleton_groups_match_one_stage_formula():
     assert abs(r.mean_loss - app) <= 3.0 * r.std_error + 1e-7
 
 
-def test_rejection_budget_is_enforced(monkeypatch):
-    skewed = build_model([[0.499, 0.499], [0.001, 0.001]])
+@pytest.mark.parametrize("cells, n, message", [
+    # acceptance bound 0.00996: 3 draws cannot be expected to accept one
+    ([[0.499, 0.499], [0.001, 0.001]], 5, "at most 0.00996"),
+    # bound 0.64 (acceptance 0.48): the run starts and the loop gives up
+    ([[0.3, 0.3], [0.4]], 2, "discarded more than 3 draws"),
+], ids=["before-drawing", "while-drawing"])
+def test_rejection_budget_is_enforced(cells, n, message, monkeypatch):
     cfg = SimulationConfig(replications=64, seed=1)
     monkeypatch.setattr(montecarlo, "_memo", None)
     monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", 3)
-    with pytest.raises(RejectionBudgetExceeded):
-        simulate_risk(EstimatorKind.PRESENT, skewed, 5, None, cfg)
+    with pytest.raises(RejectionBudgetExceeded, match=message):
+        simulate_risk(EstimatorKind.PRESENT, build_model(cells), n, None, cfg)
+
+
+@st.composite
+def _bound_cases(draw):
+    """A model of 2-8 groups of 1-3 cells, one of them small (its cells
+    scaled by 1e-1 to 1e-4), and n from 1 to 40."""
+    layout = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8))
+    small = draw(st.integers(0, len(layout) - 1))
+    scale = draw(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]))
+    cells = [[draw(st.integers(1, 9)) * (scale if i == small else 1.0)
+              for _ in range(k)] for i, k in enumerate(layout)]
+    return build_model(cells, renormalize=True), draw(st.integers(1, 40))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_bound_cases())
+def test_acceptance_bound_bounds_the_exact_acceptance(case):
+    """The pre-draw refusal rests on this bound: it is at least the exact
+    acceptance probability (up to the rounding of inclusion-exclusion),
+    and it is 0 exactly when n is below the number of groups."""
+    model, n = case
+    bound = _acceptance_bound(derive(model).marginals, n)
+    assert bound >= 1.0 - discard_probability(model, n) - 1e-13
+    assert (bound == 0.0) == (n < model.n_groups)
+
+
+def test_near_certain_discard_fails_fast():
+    """A group of marginal 1e-7 at n = 5 needs about 2e6 draws per
+    replication, past the budget; the run is refused before drawing,
+    where the discard loop took 11-14 s to give up.  At 1e-5 a replication
+    needs about 2e4 draws, and the run goes ahead."""
+    def model(eps):
+        return build_model([[(1 - eps) / 2] * 2, [eps / 2] * 2])
+
+    start = time.perf_counter()
+    for reps in (64, 4096):
+        with pytest.raises(RejectionBudgetExceeded, match="at most 5e-07"):
+            simulate_risk(EstimatorKind.PRESENT, model(1e-7), 5, None,
+                          SimulationConfig(replications=reps, seed=0))
+    assert time.perf_counter() - start < 0.5
+    r = simulate_risk(EstimatorKind.PRESENT, model(1e-5), 5, None,
+                      SimulationConfig(replications=1, seed=0))
+    assert r.discard_rate > 0.999
 
 
 @st.composite
