@@ -10,8 +10,8 @@ S = sum_i s_i, M_f = sum 1/m_i., and A_i = 2 sum_j 1/p_ij - 2 for the
 second-order coefficient of the i-th within-group MLE risk.  The three
 estimators share the present survey's within-group conditionals and
 differ only in their first-stage marginals, which each estimates from a
-first-stage sample of size N of which the prior survey supplies the
-share w:
+first-stage sample of size N = ``kind.first_stage(n, n*)``, of which the
+prior survey supplies the share w:
 
   estimator   N          w
   present     n          0
@@ -68,17 +68,6 @@ class RiskApproximation:
     n_star: int | None
 
 
-def _first_stage(
-    kind: EstimatorKind, n: int, n_star: int | float | None
-) -> tuple[int | float, float]:
-    """(N, w): the first-stage sample size and the prior survey's share."""
-    if kind is EstimatorKind.PRESENT:
-        return n, 0.0
-    if kind is EstimatorKind.PRIOR:
-        return n_star, 1.0
-    return n + n_star, n_star / (n + n_star)
-
-
 def risk_app(
     kind: EstimatorKind,
     dq: DerivedQuantities,
@@ -102,7 +91,9 @@ def risk_app(
         raise MissingNStar(f"estimator {kind.value!r} needs n_star")
     elif not (kind is EstimatorKind.PRIOR and n_star == math.inf):
         n_star = as_int(n_star, "n_star")
-    N, w = _first_stage(kind, n, n_star)
+    N = kind.first_stage(n, n_star)
+    # the prior survey's share of N; 1 in the n* = inf limit
+    w = 1.0 if N == math.inf else kind.first_stage(0, n_star) / N
     if kind is EstimatorKind.PRESENT:
         # one division of p = I-1+S: (I-1)/(2n) + S/(2n) rounds differently
         first = dq.p_total / (2.0 * n)
@@ -150,7 +141,8 @@ def gap_first_stage(
     if not isinstance(kind, EstimatorKind):
         raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
-    N, w = _first_stage(kind, n, n_star)
+    N = kind.first_stage(n, n_star)
+    w = kind.first_stage(0, n_star) / N
     M_f = math.fsum(1.0 / m for m in marginals)
     # sum_i s_i (1/m_i. - 1); zero only when every group has one cell
     c = math.fsum(si * (1.0 / m - 1.0) for si, m in zip(s, marginals))

@@ -83,8 +83,9 @@ class RejectionBudgetExceeded(SurveyRiskError):
     """A replication would need, or needed, more present draws than the
     discard budget allows.
 
-    Raised before drawing when an upper bound on the acceptance probability
-    expects more draws per replication than the budget (always when n is
+    Raised before drawing when an upper bound a on the acceptance
+    probability has a * budget < 1 + ln R for R replications, so that the
+    worst replication expects more draws than the budget (always when n is
     below the number of groups), and during drawing when an unlucky run
     exhausts it anyway.  Either way n is deep in the small-sample regime
     where some group is almost never observed; increase n.

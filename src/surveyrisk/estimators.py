@@ -4,7 +4,8 @@ All three share the within-group conditionals from the present survey,
 
     phat_ij = x_ij / x_i.
 
-and differ only in where the group marginals come from:
+and differ only in the first-stage sample behind the group marginals
+(:meth:`EstimatorKind.first_stage`):
 
     present   mhat_i.  = x_i. / n                  (one sample, both stages)
     prior     mhat*_i. = x*_i / n*                 (marginals from the coarse
@@ -42,6 +43,15 @@ class EstimatorKind(enum.Enum):
     PRIOR = "prior"
     POOLED = "pooled"
 
+    def first_stage(self, present, prior):
+        """The present part, the prior part or their sum: of group counts
+        (ints or int64 arrays) or of the sizes n and n*."""
+        if self is EstimatorKind.PRESENT:
+            return present
+        if self is EstimatorKind.PRIOR:
+            return prior
+        return present + prior
+
 
 def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
     """Compute one estimator's cell-probability estimate from counts.
@@ -61,26 +71,19 @@ def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
                 f"must be applied before estimating"
             )
 
-    if kind is EstimatorKind.PRESENT:
-        groups = [
-            np.array([x / n for x in row], dtype=np.float64)
-            for row in counts.present
-        ]
-        return ProbabilityEstimate(cells=tuple(groups))
-
-    if counts.prior is None:
-        raise MissingPriorCounts(f"estimator {kind.value!r} needs prior counts")
     n_star = counts.n_star
-    assert n_star is not None
-    if n_star < 1:
-        raise DomainError("prior survey is empty (n* = 0)")
+    if kind is not EstimatorKind.PRESENT:
+        if n_star is None:
+            raise MissingPriorCounts(f"estimator {kind.value!r} needs prior counts")
+        if n_star < 1:
+            raise DomainError("prior survey is empty (n* = 0)")
 
+    size = kind.first_stage(n, n_star)
+    prior = counts.prior or (None,) * len(totals)
     groups = []
-    for row, t, xs in zip(counts.present, totals, counts.prior):
-        if kind is EstimatorKind.PRIOR:
-            num, den = xs, n_star * t
-        else:  # POOLED
-            num, den = t + xs, (n + n_star) * t
-        # num * x_ij and den are exact integers; one float division per cell
-        groups.append(np.array([(num * x) / den for x in row], dtype=np.float64))
+    for row, t, xs in zip(counts.present, totals, prior):
+        part, den = kind.first_stage(t, xs), size * t
+        # exact integers and one correctly rounded division per cell, so
+        # the present kind's (t * x_ij) / (n * t) is bitwise x_ij / n
+        groups.append(np.array([(part * x) / den for x in row], dtype=np.float64))
     return ProbabilityEstimate(cells=tuple(groups))

@@ -7,9 +7,10 @@ conditionals from :func:`surveyrisk.model.derive`, the same values the
 risk expansions use.  Present draws are conditioned on every group total
 being nonzero (otherwise the within-group conditionals are undefined):
 a draw with an empty group is discarded and redrawn whole, never
-renormalized.  A run is refused before drawing when a one-sided bound on
-the acceptance probability, 0 below n = I (the number of groups), expects
-over ``_MAX_REJECTIONS`` draws per replication.  Prior draws are
+renormalized.  A run of R replications is refused before drawing when a
+one-sided bound a on the acceptance probability (0 below n = I, the number
+of groups) has a * ``_MAX_REJECTIONS`` < 1 + ln R: the worst replication
+expects about H_R / a draws, and H_R <= 1 + ln R.  Prior draws are
 unconditioned; a zero prior group count is fine because the corresponding
 estimate contributes zero loss under the 0 log 0 convention.
 
@@ -353,12 +354,7 @@ def _block_losses(
     discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
     first-stage estimate q_f."""
     totals, second_stage, discarded, xstar = draws.block(b, n_star)
-    if kind is EstimatorKind.PRESENT:
-        first = totals / draws.n
-    elif kind is EstimatorKind.PRIOR:
-        first = xstar / n_star
-    else:  # POOLED
-        first = (totals + xstar) / (draws.n + n_star)
+    first = kind.first_stage(totals, xstar) / kind.first_stage(draws.n, n_star)
     losses = np.sum(rel_entr(first, draws.dq.marginals) + first * second_stage, axis=1)
     return losses, discarded
 
@@ -379,9 +375,9 @@ def simulate_risk(
     EstimatorKind member (anything else raises DomainError), and
     ``n_star`` is ignored for the present estimator.  Sizes and
     ``workers`` must be integers (numpy integers work; a fractional value
-    or a bool raises DomainError).  A size whose acceptance bound
-    (:func:`_acceptance_bound`) expects over ``_MAX_REJECTIONS`` draws per
-    replication raises RejectionBudgetExceeded before drawing.  Sizes
+    or a bool raises DomainError).  R replications at a size whose
+    acceptance bound a (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS``
+    < 1 + ln R raise RejectionBudgetExceeded before drawing.  Sizes
     outside the engine's range raise DomainError before anything is drawn:
     n > 2**48 for every kind, and for the prior and pooled kinds n* > 2**51.
     """
@@ -393,12 +389,13 @@ def simulate_risk(
     # rounding floor of about 1e-15 and the mean drifts off the risk
     if n > 2**48:
         raise DomainError(f"n must be at most 2**48, got n={n}")
+    reps = config.replications
     accept = _acceptance_bound(dq.marginals, n)
-    if accept * _MAX_REJECTIONS < 1:
+    if accept * _MAX_REJECTIONS < 1 + math.log(reps):
         raise RejectionBudgetExceeded(
             f"at n={n} a present draw observes every group with probability at "
-            f"most {accept:.3g} (0 below the number of groups), so a replication "
-            f"expects over {_MAX_REJECTIONS} draws")
+            f"most {accept:.3g} (0 below the number of groups), so the worst of "
+            f"{reps} replications expects over {_MAX_REJECTIONS} draws")
     if kind is EstimatorKind.PRESENT:
         n_star = None
     else:
@@ -411,7 +408,6 @@ def simulate_risk(
             raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
     workers = as_int(workers, "workers")
 
-    reps = config.replications
     losses = np.empty(reps, dtype=np.float64)
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
     discards = np.zeros(n_blocks, dtype=np.int64)

@@ -369,9 +369,11 @@ def advise(
         n = counts.n
         if n < 1:
             raise DomainError("present survey is empty (n = 0)")
-        marginals = [(t + xs) / (n + n_star)
-                     for t, xs in zip(counts.group_totals, counts.prior)]
+        kind = EstimatorKind.POOLED
     else:
         n = as_int(n, "planning advice's candidate present size n")
-        marginals = [xs / n_star for xs in counts.prior]
+        kind = EstimatorKind.PRIOR
+    size = kind.first_stage(n, n_star)
+    marginals = [kind.first_stage(t, xs) / size
+                 for t, xs in zip(counts.group_totals, counts.prior)]
     return advise_from_marginals(group_sizes, marginals, n, n_star, stage)

@@ -406,15 +406,16 @@ def test_a_reused_parser_keeps_no_values_between_calls(capsys):
 
 
 def test_package_runs_as_a_module():
-    """``python -m surveyrisk`` is the command line without an installed
-    console script."""
+    """``python -m surveyrisk`` and ``python -m surveyrisk.cli`` are the
+    command line without an installed console script."""
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "surveyrisk", "rss", "--model",
-         "example1-uniform100x2", "--kind", "prior-vs-present", "--n0", "1000",
-         "--method", "app"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=False)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[1] == (
-        "example1-uniform100x2,prior-vs-present,app,1000,,,,1247")
+    for module in ("surveyrisk", "surveyrisk.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "rss", "--model",
+             "example1-uniform100x2", "--kind", "prior-vs-present", "--n0",
+             "1000", "--method", "app"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=False)
+        assert done.returncode == 0, (module, done.stderr)
+        assert done.stdout.splitlines()[1] == (
+            "example1-uniform100x2,prior-vs-present,app,1000,,,,1247"), module

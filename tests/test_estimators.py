@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveyrisk import (
     DomainError,
@@ -101,6 +103,33 @@ def _marginal_fraction(kind, counts, gi):
         return counts.prior[gi], counts.n_star
     return (counts.group_totals[gi] + counts.prior[gi],
             counts.n + counts.n_star)
+
+
+@st.composite
+def _large_counts(draw):
+    """2-4 groups of 1-3 cells with counts up to 2**62, every group
+    observed in the present survey and a nonempty prior survey."""
+    def counts(size):
+        return st.lists(st.integers(0, 2**62), min_size=size,
+                        max_size=size).filter(any)
+
+    layout = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    present = tuple(tuple(draw(counts(k))) for k in layout)
+    return SurveyCounts(present=present, prior=tuple(draw(counts(len(layout)))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_large_counts(), st.sampled_from(list(EstimatorKind)))
+def test_cells_are_the_exact_ratio_rounded_once(counts, kind):
+    """Every cell is the exact rational (part * x_ij) / (size * x_i.) of
+    the kind's first-stage part and size, rounded once, also where the
+    integer products are far wider than a float's 53 bits."""
+    e = estimate(kind, counts)
+    for gi, (total, row) in enumerate(zip(counts.group_totals,
+                                          counts.present)):
+        part, size = _marginal_fraction(kind, counts, gi)
+        for j, x in enumerate(row):
+            assert e.cells[gi][j] == float(Fraction(part * x, size * total))
 
 
 def test_proportional_prior_counts_reproduce_present():

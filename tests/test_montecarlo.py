@@ -138,16 +138,26 @@ def test_singleton_groups_match_one_stage_formula():
     assert abs(r.mean_loss - app) <= 3.0 * r.std_error + 1e-7
 
 
-@pytest.mark.parametrize("cells, n, message", [
+_THIRDS = [[1 / 3], [1 / 3], [1 / 3]]
+
+
+@pytest.mark.parametrize("cells, n, budget, reps, message", [
     # acceptance bound 0.00996: 3 draws cannot be expected to accept one
-    ([[0.499, 0.499], [0.001, 0.001]], 5, "at most 0.00996"),
-    # bound 0.64 (acceptance 0.48): the run starts and the loop gives up
-    ([[0.3, 0.3], [0.4]], 2, "discarded more than 3 draws"),
-], ids=["before-drawing", "while-drawing"])
-def test_rejection_budget_is_enforced(cells, n, message, monkeypatch):
-    cfg = SimulationConfig(replications=64, seed=1)
+    ([[0.499, 0.499], [0.001, 0.001]], 5, 3, 64, "at most 0.00996"),
+    # bound 0.64: 3 * 0.64 = 1.92 is below 1 + ln 64 = 5.16
+    ([[0.3, 0.3], [0.4]], 2, 3, 64, "at most 0.64.* 64 replications"),
+    # bound 0.528 (acceptance 2/9): 5.28 >= 5.16, so the run starts and
+    # the loop gives up
+    (_THIRDS, 3, 10, 64, "discarded more than 10 draws"),
+    # the same model at 256 replications: 5.28 < 1 + ln 256 = 6.55
+    (_THIRDS, 3, 10, 256, "at most 0.528.* 256 replications"),
+], ids=["before-drawing", "before-drawing-of-many", "while-drawing",
+        "before-drawing-of-more"])
+def test_rejection_budget_is_enforced(cells, n, budget, reps, message,
+                                      monkeypatch):
+    cfg = SimulationConfig(replications=reps, seed=1)
     monkeypatch.setattr(montecarlo, "_memo", None)
-    monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", 3)
+    monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", budget)
     with pytest.raises(RejectionBudgetExceeded, match=message):
         simulate_risk(EstimatorKind.PRESENT, build_model(cells), n, None, cfg)
 
@@ -179,15 +189,18 @@ def test_acceptance_bound_bounds_the_exact_acceptance(case):
 def test_near_certain_discard_fails_fast():
     """A group of marginal 1e-7 at n = 5 needs about 2e6 draws per
     replication, past the budget; the run is refused before drawing,
-    where the discard loop took 11-14 s to give up.  At 1e-5 a replication
-    needs about 2e4 draws, and the run goes ahead."""
+    where the discard loop took 11-14 s to give up.  At 3e-7 (64
+    replications) and 1e-6 (4096) one replication fits the budget but the
+    worst of them does not, where the loop took 13 s and 77 s to give up.
+    At 1e-5 a replication needs about 2e4 draws, and the run goes ahead."""
     def model(eps):
         return build_model([[(1 - eps) / 2] * 2, [eps / 2] * 2])
 
     start = time.perf_counter()
-    for reps in (64, 4096):
-        with pytest.raises(RejectionBudgetExceeded, match="at most 5e-07"):
-            simulate_risk(EstimatorKind.PRESENT, model(1e-7), 5, None,
+    for eps, reps, bound in [(1e-7, 64, "5e-07"), (1e-7, 4096, "5e-07"),
+                             (3e-7, 64, "1.5e-06"), (1e-6, 4096, "5e-06")]:
+        with pytest.raises(RejectionBudgetExceeded, match=f"at most {bound}"):
+            simulate_risk(EstimatorKind.PRESENT, model(eps), 5, None,
                           SimulationConfig(replications=reps, seed=0))
     assert time.perf_counter() - start < 0.5
     r = simulate_risk(EstimatorKind.PRESENT, model(1e-5), 5, None,
