@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, MissingNStar
 from .estimators import EstimatorKind
 from .model import DerivedQuantities, as_int
 
@@ -82,15 +81,9 @@ def risk_app(
     (numpy integers work).  ``n_star`` is ignored for the present estimator.
     A ``kind`` that is not an EstimatorKind member raises DomainError.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
+    if not (kind is EstimatorKind.PRIOR and n_star == math.inf):
+        n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")
-    if kind is EstimatorKind.PRESENT:
-        n_star = None
-    elif n_star is None:
-        raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-    elif not (kind is EstimatorKind.PRIOR and n_star == math.inf):
-        n_star = as_int(n_star, "n_star")
     N = kind.first_stage(n, n_star)
     # the prior survey's share of N; 1 in the n* = inf limit
     w = 1.0 if N == math.inf else kind.first_stage(0, n_star) / N
@@ -125,7 +118,7 @@ def gap_first_stage(
     s: Sequence[int],
     marginals: Sequence[float],
     n: int,
-    n_star: int,
+    n_star: int | None,
 ) -> float:
     """risk(present) - risk(kind) from the truncated expansions, given
     only first-stage quantities; M_f is summed from ``marginals``.
@@ -135,12 +128,11 @@ def gap_first_stage(
     value says pooling is expected to do worse than ignoring the prior
     survey (the small-n pathology).  For the prior kind at n = n* it
     collapses to -sum_i s_i (1/m_i. - 1) / (2n^2), negative whenever any
-    group has more than one cell.  A ``kind`` that is not an
-    EstimatorKind member raises DomainError.
+    group has more than one cell; the present kind's is 0, at any n*.  A
+    ``kind`` that is not an EstimatorKind member raises DomainError.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
-    n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
+    n_star = EstimatorKind.prior_size(kind, n_star)
+    n = as_int(n, "n")
     N = kind.first_stage(n, n_star)
     w = kind.first_stage(0, n_star) / N
     M_f = math.fsum(1.0 / m for m in marginals)

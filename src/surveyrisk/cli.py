@@ -7,8 +7,8 @@ that simulate embed the seed and replication count in the output, so a
 CSV is a complete provenance record: the same invocation reproduces the
 same bytes.
 
-Exit status: 0 on success, 2 on usage errors, 1 on computation errors
-(the message names the failed operation's error class).
+Exit status: 0 on success, 2 on usage errors, 1 on computation and file
+errors (one ``error:`` line that names the error class).
 
 Model files are line oriented UTF-8; '#' starts a comment and blank
 lines are ignored:
@@ -186,18 +186,22 @@ def parse_counts_text(text: str) -> SurveyCounts:
     return SurveyCounts(present=tuple(present), prior=prior)
 
 
+def _read_text(path: str, unreadable: str) -> str:
+    """A UTF-8 file's text, else ParseError: ``unreadable`` and why."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{unreadable} ({exc})") from None
+
+
 def _load_named_model(path_or_name: str) -> tuple[str, TwoStageModel]:
     """(name, model) for a bundled model name, else for a model file, whose
     name is the one on its ``model`` line."""
     if path_or_name in BUNDLED_MODEL_NAMES:
         return path_or_name, bundled_model(path_or_name)
-    path = Path(path_or_name)
-    if not path.is_file():
-        raise ParseError(
-            f"{path_or_name!r} is neither a bundled model name "
-            f"({', '.join(BUNDLED_MODEL_NAMES)}) nor a readable file"
-        )
-    return _parse_named_model(path.read_text(encoding="utf-8"))
+    return _parse_named_model(_read_text(
+        path_or_name, f"{path_or_name!r} is neither a bundled model name "
+        f"({', '.join(BUNDLED_MODEL_NAMES)}) nor a readable file"))
 
 
 def load_model(path_or_name: str) -> TwoStageModel:
@@ -329,10 +333,8 @@ def _cmd_advise(args) -> int:
     else:
         if args.nstar is not None:
             raise _UsageError("--counts takes n* from the counts; drop --nstar")
-        path = Path(args.counts)
-        if not path.is_file():
-            raise ParseError(f"counts file {args.counts!r} does not exist")
-        counts = parse_counts_text(path.read_text(encoding="utf-8"))
+        counts = parse_counts_text(_read_text(
+            args.counts, f"counts file {args.counts!r} cannot be read"))
         if stage is AdviceContext.PLANNING and args.n is None:
             raise _UsageError("--stage plan needs --n (candidate present size)")
         if stage is AdviceContext.POST_SURVEY and args.n is not None:
@@ -500,7 +502,7 @@ def run(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SurveyRiskError as exc:
+    except (SurveyRiskError, OSError) as exc:  # OSError: writing a file
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -13,10 +13,12 @@ and differ only in the first-stage sample behind the group marginals
     pooled    mhat^p_i. = (x_i. + x*_i) / (n + n*) (marginals from both)
 
 so the pooled marginal is exactly the n : n* convex combination of the
-other two.  Each cell estimate is assembled as a ratio of integer
-products and rounded once in the final division, which keeps the output
-normalized to machine precision and the estimates reproducible bit for
-bit.
+other two.  :meth:`EstimatorKind.prior_size` is the one rule for what
+each kind takes (the present kind ignores n*, the other two need it);
+every entry point checks its kind through it before any work.  Each
+cell estimate is assembled as a ratio of integer products and rounded
+once in the final division, which keeps the output normalized to
+machine precision and the estimates reproducible bit for bit.
 
 Zero group totals x_i. are a hard error here: conditioning away such
 samples (the discard rule) is the simulation engine's job, and silently
@@ -30,8 +32,8 @@ import enum
 import numpy as np
 
 from .divergence import ProbabilityEstimate
-from .errors import DomainError, MissingPriorCounts, ZeroGroupCount
-from .model import SurveyCounts
+from .errors import DomainError, MissingNStar, MissingPriorCounts, ZeroGroupCount
+from .model import SurveyCounts, as_int
 
 __all__ = ["EstimatorKind", "estimate"]
 
@@ -52,14 +54,28 @@ class EstimatorKind(enum.Enum):
             return prior
         return present + prior
 
+    @classmethod
+    def prior_size(cls, kind, n_star):
+        """None for the present kind, which ignores ``n_star``, else n* as
+        an int >= 1; a non-member raises DomainError, no n* MissingNStar."""
+        if not isinstance(kind, EstimatorKind):
+            raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
+        if kind is cls.PRESENT:
+            return None
+        if n_star is None:
+            raise MissingNStar(f"estimator {kind.value!r} needs n_star")
+        return as_int(n_star, "n_star")
+
 
 def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
     """Compute one estimator's cell-probability estimate from counts.
 
     A ``kind`` that is not an EstimatorKind member raises DomainError.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
+    n_star = counts.n_star
+    # the kind check; ``or 1`` leaves a missing or empty prior survey to
+    # the count checks below, whose errors name the counts
+    needs_prior = EstimatorKind.prior_size(kind, n_star or 1) is not None
     totals = counts.group_totals
     n = counts.n
     if n < 1:
@@ -71,8 +87,7 @@ def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
                 f"must be applied before estimating"
             )
 
-    n_star = counts.n_star
-    if kind is not EstimatorKind.PRESENT:
+    if needs_prior:
         if n_star is None:
             raise MissingPriorCounts(f"estimator {kind.value!r} needs prior counts")
         if n_star < 1:

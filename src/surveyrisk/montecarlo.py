@@ -92,11 +92,7 @@ import numpy as np
 from scipy.special import ndtri, rel_entr
 from scipy.stats import binom
 
-from .errors import (
-    DomainError,
-    MissingNStar,
-    RejectionBudgetExceeded,
-)
+from .errors import DomainError, RejectionBudgetExceeded
 from .estimators import EstimatorKind
 from .model import DerivedQuantities, TwoStageModel, as_int, derive
 
@@ -286,9 +282,9 @@ class _Draws:
         _, _, self.n, self.config = key
         self.dq = dq
         self.keep = keep
-        n_blocks = -(-self.config.replications // BLOCK_SIZE)
-        self._present: list[tuple | None] = [None] * n_blocks
-        self._prior: list[tuple | None] = [None] * n_blocks
+        self.n_blocks = -(-self.config.replications // BLOCK_SIZE)
+        self._present: list[tuple | None] = [None] * self.n_blocks
+        self._prior: list[tuple | None] = [None] * self.n_blocks
 
     def block(self, b: int, n_star: int | None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
@@ -371,24 +367,29 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value, and for a memo hit (see the
-    module docstring) and a fresh draw.  ``kind`` must be an
-    EstimatorKind member (anything else raises DomainError), and
-    ``n_star`` is ignored for the present estimator.  Sizes and
-    ``workers`` must be integers (numpy integers work; a fractional value
-    or a bool raises DomainError).  R replications at a size whose
-    acceptance bound a (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS``
-    < 1 + ln R raise RejectionBudgetExceeded before drawing.  Sizes
-    outside the engine's range raise DomainError before anything is drawn:
-    n > 2**48 for every kind, and for the prior and pooled kinds n* > 2**51.
+    module docstring) and a fresh draw.  Every argument is checked before
+    any work: :meth:`EstimatorKind.prior_size` checks the kind and n* (the
+    present kind ignores n*); sizes and ``workers`` are integers (numpy's
+    too), and a fractional or bool one, n > 2**48, n* > 2**51, or a
+    ``config`` that is not a SimulationConfig raises DomainError.  Then R
+    replications at a size whose acceptance bound a
+    (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS`` < 1 + ln R
+    raise RejectionBudgetExceeded before drawing.
     """
-    if not isinstance(kind, EstimatorKind):
-        raise DomainError(f"kind must be an EstimatorKind, got {kind!r}")
-    dq = derive(model)
+    n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")
     # the loss shrinks like 1/n; past 2**48 it nears the chain rule's
     # rounding floor of about 1e-15 and the mean drifts off the risk
     if n > 2**48:
         raise DomainError(f"n must be at most 2**48, got n={n}")
+    # past about 3e9 trials binom.ppf draws every prior count, and it
+    # returns NaN once the count nears 0.75 * 2**52
+    if n_star is not None and n_star > 2**51:
+        raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
+    if not isinstance(config, SimulationConfig):
+        raise DomainError(f"config must be a SimulationConfig, got {config!r}")
+    workers = as_int(workers, "workers")
+    dq = derive(model)
     reps = config.replications
     accept = _acceptance_bound(dq.marginals, n)
     if accept * _MAX_REJECTIONS < 1 + math.log(reps):
@@ -396,23 +397,12 @@ def simulate_risk(
             f"at n={n} a present draw observes every group with probability at "
             f"most {accept:.3g} (0 below the number of groups), so the worst of "
             f"{reps} replications expects over {_MAX_REJECTIONS} draws")
-    if kind is EstimatorKind.PRESENT:
-        n_star = None
-    else:
-        if n_star is None:
-            raise MissingNStar(f"estimator {kind.value!r} needs n_star")
-        n_star = as_int(n_star, "n_star")
-        # past about 3e9 trials binom.ppf draws every prior count, and it
-        # returns NaN once the count nears 0.75 * 2**52
-        if n_star > 2**51:
-            raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
-    workers = as_int(workers, "workers")
 
-    losses = np.empty(reps, dtype=np.float64)
-    n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
-    discards = np.zeros(n_blocks, dtype=np.int64)
     key = (model.flat().tobytes(), model.group_sizes, n, config)
     draws = _memo_slot(key, dq, n_star is not None)
+    n_blocks = draws.n_blocks
+    losses = np.empty(reps, dtype=np.float64)
+    discards = np.zeros(n_blocks, dtype=np.int64)
 
     def run_block(b: int) -> None:
         block, discards[b] = _block_losses(kind, draws, b, n_star)

@@ -119,9 +119,9 @@ class RssQuery:
 
     ``n0`` and a given ``n0_star`` are integers >= 1, stored as Python
     ints.  Present-vs-pooled needs ``n0_star``; prior-vs-present does not
-    use it and also accepts None.  ``config`` is given exactly when
-    ``method`` is "sim".  A ``kind`` that is not an RssKind member, or a
-    config the method would not use, raises DomainError.
+    use it and also accepts None.  ``config`` is a SimulationConfig for
+    ``method`` "sim" and None for "app"; a ``kind`` that is not an RssKind
+    member, or any other config, raises DomainError.
     """
 
     kind: RssKind
@@ -140,10 +140,10 @@ class RssQuery:
         vars(self).update(n0=n0, n0_star=n0_star)
         if self.method not in ("app", "sim"):
             raise DomainError(f"method must be 'app' or 'sim', got {self.method!r}")
-        if (self.method == "sim") != (self.config is not None):
+        wanted = SimulationConfig if self.method == "sim" else type(None)
+        if not isinstance(self.config, wanted):
             raise DomainError(
-                "method 'sim' needs a SimulationConfig and 'app' takes none"
-            )
+                "method 'sim' needs a SimulationConfig and 'app' takes none")
 
 
 @dataclass(frozen=True)

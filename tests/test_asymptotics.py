@@ -162,6 +162,8 @@ def test_gap_of_a_kind_that_is_not_a_member_is_refused(bad):
     want = (risk_app(EstimatorKind.PRESENT, dq, 200).total
             - risk_app(EstimatorKind.PRIOR, dq, 200, 600).total)
     assert abs(gap_first_stage(EstimatorKind.PRIOR, *args) - want) <= 1e-13
+    # the present kind ignores n*, like every other entry point
+    assert gap_first_stage(EstimatorKind.PRESENT, *args[:3], None) == 0.0
     with pytest.raises(DomainError, match="EstimatorKind"):
         gap_first_stage(bad, *args)
 

@@ -58,6 +58,8 @@ def test_parse_model_errors_carry_line_numbers():
         parse_model_text("model x\nrenormalize on\n")
     with pytest.raises(ParseError, match="cell"):
         parse_model_text(MODEL_TEXT.replace("0.25 0.25\n", "0.25 zero\n", 1))
+    with pytest.raises(ParseError, match="line 6: group 'second' has no cells"):
+        parse_model_text(MODEL_TEXT.replace(": 0.25 0.25   #", ":   #"))
 
 
 def test_group_keyword_is_its_own_token():
@@ -87,6 +89,8 @@ def test_parse_counts_errors():
         parse_counts_text("present\n2 2\nprior\n")
     with pytest.raises(ParseError):
         parse_counts_text("present\n2 2\nprior\n1 1\nextra\n")
+    with pytest.raises(ParseError, match="no present-survey rows"):
+        parse_counts_text("present\nprior\n1 1\n")
 
 
 def test_dump_and_reload_round_trip():
@@ -310,7 +314,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(["rss", "--model", "example1-uniform100x2", "--kind",
                 "present-vs-pooled", "--n0", "100", "--method", "app"]) == 2
     assert run(["advise", "--model", "example1-uniform100x2"]) == 2
-    capsys.readouterr()
+    assert run(["advise", "--model", "example1-uniform100x2", "--plug-in",
+                "truth", "--n", "90"]) == 2
+    assert "needs --n and --nstar" in capsys.readouterr().err
+    assert run(["risk", "--model", "example1-uniform100x2", "--estimator",
+                "present", "--method", "sim", "--n", "50",
+                "--seed", str(2**64)]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
 
 
 def test_computation_errors_exit_1(capsys):
@@ -362,10 +372,12 @@ def test_advise_stage_flag_names_the_context(stage, context, tmp_path, capsys):
     (["--counts", "FILE", "--stage", "post", "--nstar", "5000"], "drop --nstar"),
     (["--counts", "FILE", "--stage", "plan", "--n", "90", "--nstar", "5000"],
      "drop --nstar"),
+    (["--counts", "FILE", "--stage", "plan"], "--stage plan needs --n"),
     ([], "one of the arguments --counts --plug-in is required"),
     (["--counts", "FILE", "--plug-in", "truth", "--n", "90", "--nstar", "1000"],
      "not allowed with argument"),
-], ids=["post-n", "post-nstar", "plan-nstar", "no-source", "both-sources"])
+], ids=["post-n", "post-nstar", "plan-nstar", "plan-no-n", "no-source",
+        "both-sources"])
 def test_post_survey_advice_from_counts_refuses_n(flags, message, tmp_path,
                                                   capsys):
     """``--n`` at --stage post and ``--nstar`` at either stage once shaped
@@ -380,6 +392,35 @@ def test_post_survey_advice_from_counts_refuses_n(flags, message, tmp_path,
     assert run(["advise", "--model", str(model), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("case", ["model-not-utf8", "counts-not-utf8",
+                                  "counts-missing", "dump-into-missing-dir"])
+def test_file_failures_print_one_error_line(case, tmp_path, capsys):
+    """A file that cannot be read or decoded, or a dump that cannot be
+    written, exits 1 with one ``error:`` line; the first, second and last
+    once printed a traceback."""
+    garbled = tmp_path / "garbled"
+    garbled.write_bytes(b"model toy\n\xff\xfe\n")
+    risk = ["risk", "--estimator", "present", "--method", "app", "--n", "10"]
+    argv, error = {
+        "model-not-utf8": (risk + ["--model", str(garbled)], "ParseError"),
+        "counts-not-utf8": (["advise", "--model", "example1-uniform100x2",
+                             "--counts", str(garbled)], "ParseError"),
+        "counts-missing": (["advise", "--model", "example1-uniform100x2",
+                            "--counts", str(tmp_path / "absent")], "ParseError"),
+        "dump-into-missing-dir": (
+            risk + ["--model", "example1-uniform100x2", "--dump-model",
+                    str(tmp_path / "absent" / "x.model")],
+            "FileNotFoundError"),
+    }[case]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ")
+    assert captured.err.count("\n") == 1
+    if error == "ParseError":
+        assert repr(argv[-1]) in captured.err
 
 
 def test_sizes_outside_the_engine_range_exit_1(capsys):

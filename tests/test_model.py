@@ -101,6 +101,8 @@ def test_derive_bundled_uniform_model():
     assert inverse_cell_sum(m) == 40000.0
     assert dq.M_f == 4.0
     np.testing.assert_allclose(dq.A, 19998.0, rtol=0, atol=1e-9)
+    with pytest.raises(KeyError, match="unknown bundled model"):
+        bundled_model("example4-nowhere")
 
 
 def test_derive_singleton_groups():
@@ -125,6 +127,8 @@ def test_survey_counts_validation():
         SurveyCounts(present=((2.5, 1), (3, 3)))  # type: ignore[arg-type]
     with pytest.raises(ShapeError):
         SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2, 1))
+    with pytest.raises(ShapeError, match="at least one group"):
+        SurveyCounts(present=())
 
 
 def test_survey_counts_without_prior():

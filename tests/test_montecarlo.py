@@ -64,6 +64,24 @@ def test_simulate_requires_prior_size_for_prior_kinds():
         simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 20, 0, cfg)
 
 
+@pytest.mark.parametrize("n_star, config, workers, error", [
+    (None, SimulationConfig(64, 0), 1, MissingNStar),
+    (2.5, SimulationConfig(64, 0), 1, DomainError),
+    (100, SimulationConfig(64, 0), 0, DomainError),
+    (100, 5000, 1, DomainError),
+    (100, None, 1, DomainError),
+], ids=["no-nstar", "fractional-nstar", "no-workers", "int-config",
+        "no-config"])
+def test_arguments_are_checked_before_the_model_and_the_refusal(
+        n_star, config, workers, error):
+    """At n = 2 below breast-cancer's 5 groups the acceptance refusal would
+    fire; a bad argument is reported first, by its own error.  These once
+    raised RejectionBudgetExceeded, or AttributeError for the configs."""
+    with pytest.raises(error):
+        simulate_risk(EstimatorKind.PRIOR, BREAST_CANCER, 2, n_star, config,
+                      workers)
+
+
 def test_fixed_seed_is_deterministic():
     cfg = SimulationConfig(replications=3_000, seed=11)
     a = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 30, 40, cfg)
@@ -257,6 +275,8 @@ def test_discard_probability_inclusion_exclusion():
         want = 0.8 ** n + 0.2 ** n  # both-empty term is 0 for n >= 1
         assert math.isclose(discard_probability(m, n), want, rel_tol=1e-12)
     assert discard_probability(m, 1) == 1.0  # one unit always leaves a gap
+    with pytest.raises(DomainError, match="more than 20 groups"):
+        discard_probability(build_model([[1.0]] * 21, renormalize=True), 30)
 
 
 def test_discard_rate_tracks_oracle():

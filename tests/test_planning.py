@@ -51,6 +51,9 @@ def test_query_validation():
     with pytest.raises(DomainError):  # a config app mode would ignore
         RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=400, method="app",
                  config=SimulationConfig(64, 3))
+    with pytest.raises(DomainError, match="needs a SimulationConfig"):
+        RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=400, method="sim",
+                 config=5000)
 
 
 def test_query_n0_star_is_an_integer_for_both_kinds():
@@ -376,8 +379,16 @@ def test_advise_error_paths():
     with pytest.raises(ZeroGroupCount):
         advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(10, 0)),
                (2, 2), stage=AdviceContext.PLANNING, n=50)
+    with pytest.raises(DomainError, match="prior survey is empty"):
+        advise(SurveyCounts(present=((1, 1), (1, 1)), prior=(0, 0)), (2, 2))
+    with pytest.raises(DomainError, match="present survey is empty"):
+        advise(SurveyCounts(present=((0, 0), (0, 0)), prior=(5, 5)), (2, 2))
     with pytest.raises(DomainError):
         advise_from_marginals((2, 2), [0.5, 0.5], 90, 1000, stage="nope")
+    with pytest.raises(ShapeError, match="3 group sizes vs 2 marginals"):
+        advise_from_marginals((2, 2, 2), [0.5, 0.5], 90, 1000)
+    with pytest.raises(ShapeError, match="at least 2 groups"):
+        advise_from_marginals((2,), [1.0], 90, 1000)
     # marginals that are not a probability vector once gave UsePooled
     for bad in ([3.0, 5.0], [0.3, 0.3]):
         with pytest.raises(NotNormalized):
