@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .estimators import EstimatorKind
+from .errors import DomainError
 from .model import DerivedQuantities, as_int
 
 __all__ = ["RiskApproximation", "risk_app"]
@@ -79,8 +80,12 @@ def risk_app(
     risk as the prior survey grows without bound: the within-group floor
     that no prior survey can lower.  Otherwise sizes are integers >= 1
     (numpy integers work).  ``n_star`` is ignored for the present estimator.
-    A ``kind`` that is not an EstimatorKind member raises DomainError.
+    A ``kind`` that is not an EstimatorKind member, or a ``dq`` that is
+    not a DerivedQuantities, raises DomainError.
     """
+    if not isinstance(dq, DerivedQuantities):
+        raise DomainError("dq must be the DerivedQuantities of derive(model), "
+                          f"got {type(dq).__name__}")
     if not (kind is EstimatorKind.PRIOR and n_star == math.inf):
         n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")

@@ -21,6 +21,7 @@ regimes:
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .model import TwoStageModel, build_model
 
 __all__ = ["BUNDLED_MODEL_NAMES", "bundled_model"]
@@ -64,9 +65,9 @@ BUNDLED_MODEL_NAMES: tuple[str, ...] = tuple(_MODELS)
 
 
 def bundled_model(name: str) -> TwoStageModel:
-    """Return a bundled model by name; raises KeyError for unknown names."""
+    """Return a bundled model by name; raises DomainError for unknown names."""
     if name not in _MODELS:
-        raise KeyError(
+        raise DomainError(
             f"unknown bundled model {name!r}; choices: {', '.join(BUNDLED_MODEL_NAMES)}"
         )
     cells, renormalize, labels = _MODELS[name]

@@ -102,12 +102,12 @@ def kl_divergence(estimate, truth) -> float:
 
 def chain_rule(estimate: ProbabilityEstimate, model: TwoStageModel) -> ChainRuleBreakdown:
     """Decompose D[estimate : model] into first- and second-stage parts."""
+    dq = derive(model)
     if estimate.group_sizes != model.group_sizes:
         raise ShapeError(
             f"estimate layout {estimate.group_sizes} does not match model "
             f"layout {model.group_sizes}"
         )
-    dq = derive(model)
     est_marginals = estimate.group_marginals()
     first = kl_divergence(est_marginals, dq.marginals)
 

@@ -70,8 +70,11 @@ class EstimatorKind(enum.Enum):
 def estimate(kind: EstimatorKind, counts: SurveyCounts) -> ProbabilityEstimate:
     """Compute one estimator's cell-probability estimate from counts.
 
-    A ``kind`` that is not an EstimatorKind member raises DomainError.
+    A ``kind`` that is not an EstimatorKind member, or ``counts`` that are
+    not SurveyCounts, raises DomainError.
     """
+    if not isinstance(counts, SurveyCounts):
+        raise DomainError(f"counts must be SurveyCounts, got {type(counts).__name__}")
     n_star = counts.n_star
     # the kind check; ``or 1`` leaves a missing or empty prior survey to
     # the count checks below, whose errors name the counts

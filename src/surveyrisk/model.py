@@ -237,6 +237,8 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
     ascending index) with ``math.fsum`` for the scalar reductions, so the
     published-value reproductions are stable to full double precision.
     """
+    if not isinstance(model, TwoStageModel):
+        raise DomainError(f"model must be a TwoStageModel, got {type(model).__name__}")
     marginals = np.array([math.fsum(g.tolist()) for g in model.cells])
     conditionals = tuple(_readonly(g / m) for g, m in zip(model.cells, marginals))
     sizes = np.array(model.group_sizes, dtype=np.int64)

@@ -27,12 +27,12 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
   3. second-stage cells: per group, multinomial(group total, conditionals),
      a wide group in row chunks taken in row order, which consume the
      stream exactly as one call over all rows would;
-  4. prior counts: a (rows, I-1) uniform array, then a chained binomial
-     inverse-CDF per group.  The counts are exactly the integers
-     ``scipy.stats.binom.ppf`` returns, reached through a checked guess:
-     a skew-corrected normal quantile, accepted where one CDF pass over
-     the distinct (trials, count) points brackets the uniform, and
-     ``binom.ppf`` itself for the few rows it does not.
+  4. prior uniforms: a (rows, I-1) array, drawn whatever the kind; the
+     prior counts are a chained binomial inverse-CDF of them per group,
+     exactly the integers ``scipy.stats.binom.ppf`` returns, reached
+     through a checked guess: a skew-corrected normal quantile, accepted
+     where one CDF pass over the distinct (trials, count) points brackets
+     the uniform, and ``binom.ppf`` itself for the few rows it does not.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -64,18 +64,17 @@ loss, not bitwise.  The absolute term is what counts at large n: the
 rounding error of either sum stays near a unit in the last place of 1,
 while the loss shrinks like 1/n.
 
-Memo of present draws.  A block's present surveys and the Philox state
-after them depend only on (model cells, group sizes, n, seed,
-replications), never on the kind, n* or ``workers``.  The module keeps
-one slot under that key, an object that draws its own blocks and keeps,
-per block, the totals, the second-stage KLs D (a block's cells are
-never held whole: each chunk is reduced to D as it is drawn), the
-discard count and that state, so a prior draw continues the same
-stream; and the prior counts for the most recent n* only, so a prior
-and a pooled call at the same (n, n*) draw them once.  Each entry is
-the array the block drew, marked read-only: int64 totals, float64 D and
-int64 prior counts, 8 bytes per (replication, group) each.  A call with
-another key replaces the slot; a call whose entries would exceed
+Memo of draws.  A block's present surveys and prior uniforms depend
+only on (model cells, group sizes, n, seed, replications), never on the
+kind, n* or ``workers``.  The module keeps one slot under that key, an
+object that draws its own blocks and keeps one entry per block: the
+totals, the second-stage KLs D (a block's cells are never held whole:
+each chunk is reduced to D as it is drawn), the discard count, the
+(rows, I-1) prior uniforms of step 4, and the prior counts of the most
+recent n*, a pure function of the uniforms, so a prior and a pooled
+call at the same (n, n*) draw them once.  Each array is the one the
+block drew, marked read-only, 8 bytes per element.  A call with another
+key replaces the slot; a call whose entries could exceed
 ``_MEMO_CAP_BYTES`` keeps nothing and releases it.  A hit returns
 exactly what a fresh draw would, so results do not change.
 """
@@ -116,8 +115,8 @@ _MAX_REJECTIONS = 10**6
 #: are drawn in row chunks, which changes no result
 _CHUNK_BYTES = 2**18
 
-#: bytes of entries (totals, second-stage KLs and prior counts) the memo
-#: of present draws may hold; a call that would store more is not memoized
+#: bytes of entries the memo of draws may hold; a key whose entries
+#: could hold more is not memoized
 _MEMO_CAP_BYTES = 64 * 2**20
 
 
@@ -245,17 +244,16 @@ def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
     return k
 
 
-def _draw_prior(
-    gen: np.random.Generator, marginals: np.ndarray, n_star: int, rows: int
-) -> np.ndarray:
-    """Multinomial(n*, marginals) per row via a chained binomial inverse CDF.
+def _draw_prior(u: np.ndarray, marginals: np.ndarray, n_star: int) -> np.ndarray:
+    """Multinomial(n*, marginals) per row of the (rows, I-1) uniforms ``u``
+    via a chained binomial inverse CDF.
 
-    One uniform per (row, group) keeps draws comonotone across n*.  Group
-    i is drawn from what is left with probability m_i over the tail sum
-    m_i + ... + m_I, computed once per group rather than by subtraction.
+    A pure function of ``u``: the same uniforms at every n* keep draws
+    comonotone across n*.  Group i is drawn from what is left with
+    probability m_i over the tail sum m_i + ... + m_I, computed once per
+    group rather than by subtraction.
     """
-    I = marginals.size
-    u = gen.random((rows, I - 1))
+    rows, I = u.shape[0], marginals.size
     out = np.empty((rows, I), dtype=np.int64)
     remaining = np.full(rows, n_star, dtype=np.int64)
     values = marginals.tolist()
@@ -270,9 +268,9 @@ def _draw_prior(
 
 class _Draws:
     """The draws of one key (model cells, group sizes, n, config), made
-    block by block on demand: per block a present entry (totals,
-    second-stage KLs, discarded, Philox state after the present draw) and
-    a prior entry (n*, prior counts).  Each entry is replaced whole, so
+    block by block on demand.  Block b keeps one read-only entry (totals,
+    second-stage KLs, discarded, prior uniforms, n*, prior counts), the
+    prior counts those of the latest n* or None; it is replaced whole, so
     threads that share the object never see half of one.  With ``keep``
     false nothing is stored and every block draws afresh.
     """
@@ -283,16 +281,14 @@ class _Draws:
         self.dq = dq
         self.keep = keep
         self.n_blocks = -(-self.config.replications // BLOCK_SIZE)
-        self._present: list[tuple | None] = [None] * self.n_blocks
-        self._prior: list[tuple | None] = [None] * self.n_blocks
+        self._entries: list[tuple | None] = [None] * self.n_blocks
 
     def block(self, b: int, n_star: int | None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
-        the prior counts are drawn after the present surveys, and are None
-        when ``n_star`` is."""
-        rows = min(BLOCK_SIZE, self.config.replications - b * BLOCK_SIZE)
-        present = self._present[b]
-        if present is None:
+        the prior counts are None when ``n_star`` is."""
+        entry = self._entries[b]
+        if entry is None:
+            rows = min(BLOCK_SIZE, self.config.replications - b * BLOCK_SIZE)
             gen = _block_generator(self.config.seed, b)
             totals, discarded = _draw_totals(gen, self.dq, self.n, rows)
             # D[x_i./t_i : p_i] per row and group; every t_i is at least 1
@@ -303,37 +299,31 @@ class _Draws:
                     t = totals[lo:lo + step, gi]
                     within = gen.multinomial(t, conditionals) / t[:, None]
                     d[lo:lo + step, gi] = np.sum(rel_entr(within, conditionals), axis=1)
-            totals.flags.writeable = d.flags.writeable = False
-            present = (totals, d, discarded, gen.bit_generator.state)
-            if self.keep:
-                self._present[b] = present
-        *surveys, state = present
-        if n_star is None:
-            return (*surveys, None)
-        prior = self._prior[b]
-        if prior is None or prior[0] != n_star:
-            gen = _block_generator(self.config.seed, b)
-            gen.bit_generator.state = state
-            xstar = _draw_prior(gen, self.dq.marginals, n_star, rows)
+            u = gen.random((rows, self.dq.marginals.size - 1))
+            totals.flags.writeable = d.flags.writeable = u.flags.writeable = False
+            entry = (totals, d, discarded, u, None, None)
+        totals, d, discarded, u, drawn, xstar = entry
+        if n_star is not None and drawn != n_star:
+            xstar = _draw_prior(u, self.dq.marginals, n_star)
             xstar.flags.writeable = False
-            prior = (n_star, xstar)
-            if self.keep:
-                self._prior[b] = prior
-        return (*surveys, prior[1])
+            entry = (totals, d, discarded, u, n_star, xstar)
+        if self.keep:
+            self._entries[b] = entry
+        return totals, d, discarded, None if n_star is None else xstar
 
 
 _memo: _Draws | None = None
 _memo_lock = threading.Lock()
 
 
-def _memo_slot(key: tuple, dq: DerivedQuantities, prior: bool) -> _Draws:
+def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
     """The memo slot for ``key``, made afresh when the key changes; when
-    its entries (totals, second-stage KLs and, if ``prior``, prior counts,
-    8 bytes per replication and group each) exceed the cap, a slot that
-    keeps nothing, and the module slot is released."""
+    every array its entries can hold, 8 * R * (4I - 1) bytes for R
+    replications and I groups, exceeds the cap, a slot that keeps
+    nothing, and the module slot is released."""
     global _memo
     _, group_sizes, _, config = key
-    nbytes = config.replications * len(group_sizes) * 8 * (3 if prior else 2)
+    nbytes = 8 * config.replications * (4 * len(group_sizes) - 1)
     with _memo_lock:
         if nbytes > _MEMO_CAP_BYTES:
             _memo = None
@@ -366,8 +356,8 @@ def simulate_risk(
     """Estimate one estimator's risk by averaging simulated losses.
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
-    identical for every ``workers`` value, and for a memo hit (see the
-    module docstring) and a fresh draw.  Every argument is checked before
+    identical for every ``workers`` value, and for a fresh draw and a memo
+    hit (see the module docstring), whichever kind filled the memo.  Every argument is checked before
     any work: :meth:`EstimatorKind.prior_size` checks the kind and n* (the
     present kind ignores n*); sizes and ``workers`` are integers (numpy's
     too), and a fractional or bool one, n > 2**48, n* > 2**51, or a
@@ -399,7 +389,7 @@ def simulate_risk(
             f"{reps} replications expects over {_MAX_REJECTIONS} draws")
 
     key = (model.flat().tobytes(), model.group_sizes, n, config)
-    draws = _memo_slot(key, dq, n_star is not None)
+    draws = _memo_slot(key, dq)
     n_blocks = draws.n_blocks
     losses = np.empty(reps, dtype=np.float64)
     discards = np.zeros(n_blocks, dtype=np.int64)

@@ -349,6 +349,8 @@ def advise(
     plugs in the prior marginals; the present part of ``counts`` is
     ignored in that mode.
     """
+    if not isinstance(counts, SurveyCounts):
+        raise DomainError(f"counts must be SurveyCounts, got {type(counts).__name__}")
     _check_stage(stage)
     if _layout(group_sizes) != counts.group_sizes:
         raise ShapeError(

@@ -17,7 +17,19 @@ from surveyrisk import (
     bundled_model,
     derive,
 )
-from surveyrisk import EstimatorKind, estimate
+from surveyrisk import (
+    EstimatorKind,
+    RssKind,
+    RssQuery,
+    SurveyRiskError,
+    advise,
+    chain_rule,
+    discard_probability,
+    estimate,
+    required_sample_size,
+    risk_app,
+    simulate_risk,
+)
 from helpers import inverse_cell_sum
 
 
@@ -101,8 +113,41 @@ def test_derive_bundled_uniform_model():
     assert inverse_cell_sum(m) == 40000.0
     assert dq.M_f == 4.0
     np.testing.assert_allclose(dq.A, 19998.0, rtol=0, atol=1e-9)
-    with pytest.raises(KeyError, match="unknown bundled model"):
+    with pytest.raises(DomainError, match="unknown bundled model"):
         bundled_model("example4-nowhere")
+
+
+_BREAST_CANCER = bundled_model("example2-breast-cancer")
+_COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: risk_app(EstimatorKind.PRESENT, _BREAST_CANCER, 200),
+     "DerivedQuantities of derive"),
+    (lambda: simulate_risk(EstimatorKind.PRESENT, "example2-breast-cancer", 200),
+     "TwoStageModel, got str"),
+    (lambda: required_sample_size(RssQuery(RssKind.PRIOR_TO_PRESENT, 400),
+                                  derive(_BREAST_CANCER)),
+     "TwoStageModel, got DerivedQuantities"),
+    (lambda: discard_probability(derive(_BREAST_CANCER), 200),
+     "TwoStageModel, got DerivedQuantities"),
+    (lambda: chain_rule(estimate(EstimatorKind.PRESENT, _COUNTS),
+                        derive(build_model([[0.25, 0.25], [0.25, 0.25]]))),
+     "TwoStageModel, got DerivedQuantities"),
+    (lambda: estimate(EstimatorKind.PRESENT, ((2, 2), (3, 3))),
+     "SurveyCounts, got tuple"),
+    (lambda: advise(((2, 2), (3, 3)), (2, 2)), "SurveyCounts, got tuple"),
+    (lambda: bundled_model("example4-nowhere"), "unknown bundled model"),
+], ids=["risk_app-model", "simulate_risk-name", "required_sample_size-derived",
+        "discard_probability-derived", "chain_rule-derived", "estimate-tuple",
+        "advise-tuple", "bundled_model-unknown"])
+def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
+    """A model, derived quantities or counts of the wrong type, and an
+    unknown bundled name, raise DomainError, a SurveyRiskError that names
+    what was wanted, rather than an AttributeError or KeyError."""
+    with pytest.raises(DomainError, match=message) as caught:
+        call()
+    assert isinstance(caught.value, SurveyRiskError)
 
 
 def test_derive_singleton_groups():

@@ -409,6 +409,24 @@ def test_binom_inverse_matches_binom_ppf_exactly():
             assert np.array_equal(got, want), (q, np.flatnonzero(got != want))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_prior_counts_are_comonotone_in_n_star(weights, a, b, seed):
+    """On the same uniforms, the prior counts at n* <= n*' are at most
+    those at n*' cell by cell; every row sums to n* and no count is
+    negative.  The uniforms include both ends of [0, 1)."""
+    marginals = np.array(weights) / sum(weights)
+    u = np.random.default_rng(seed).random((64, marginals.size - 1))
+    u[0], u[1] = 0.0, 1.0 - 2.0**-53
+    small, large = sorted((a, b))
+    counts = [montecarlo._draw_prior(u, marginals, n_star) for n_star in (small, large)]
+    for n_star, x in zip((small, large), counts):
+        assert (x >= 0).all()
+        assert (x.sum(axis=1) == n_star).all()
+    assert (counts[0] <= counts[1]).all()
+
+
 @pytest.mark.parametrize("bad", [200.5, 600.7, True, "60", 0, -3])
 def test_fractional_or_bool_sizes_are_refused(bad):
     """A fractional size would be truncated somewhere inside the draw and
@@ -664,27 +682,35 @@ def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
     assert len(present_draws) == 8
 
 
-def test_memo_entries_are_read_only_and_the_cap_sees_their_size(monkeypatch):
-    """Each entry is the array the block drew, marked read-only, and the
-    cap compares exactly the bytes those arrays hold."""
-    monkeypatch.setattr(montecarlo, "_memo", None)
+def test_memo_entries_are_read_only_and_the_cap_sees_their_size(
+        present_draws, monkeypatch):
+    """Each array an entry stores, prior uniforms included, is the one the
+    block drew, marked read-only, and the cap compares exactly the bytes
+    those arrays hold.  Whichever kind calls first, a cap of those bytes
+    keeps the slot for all three kinds, and one byte less keeps it for
+    none: each call then draws the present surveys again."""
     cfg = SimulationConfig(BLOCK_SIZE + 1, seed=5)
-    want = simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg)
-    draws = montecarlo._memo
+    want = {kind: simulate_risk(kind, BREAST_CANCER, 60, 300, cfg)
+            for kind in EstimatorKind}
     nbytes = 0
-    for b in range(2):
-        totals, second_stage, _, xstar = draws.block(b, 300)
-        for entry in (totals, second_stage, xstar):
-            assert not entry.flags.writeable
+    for entry in montecarlo._memo._entries:
+        arrays = [a for a in entry if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4
+        for array in arrays:
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                entry[0, 0] = 0
-            nbytes += entry.nbytes
-    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes)
-    assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg) == want
-    assert montecarlo._memo is draws
-    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes - 1)
-    assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg) == want
-    assert montecarlo._memo is None
+                array[0, 0] = 0
+            nbytes += array.nbytes
+    assert nbytes == 8 * cfg.replications * (4 * BREAST_CANCER.n_groups - 1)
+    for cap, kept in ((nbytes, True), (nbytes - 1, False)):
+        monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", cap)
+        for first in EstimatorKind:
+            _forget_draws()
+            present_draws.clear()
+            for kind in (first, *(k for k in EstimatorKind if k is not first)):
+                assert simulate_risk(kind, BREAST_CANCER, 60, 300, cfg) == want[kind]
+                assert (montecarlo._memo is not None) is kept
+            assert len(present_draws) == (2 if kept else 6)
 
 
 def test_concurrent_callers_with_different_keys_get_serial_results():
