@@ -26,6 +26,10 @@ Counts files hold the observed surveys:
 
 Three model names resolve without a file: example1-uniform100x2,
 example2-breast-cancer, example3-household.
+
+``reproduce`` runs ``risk --estimator all`` or ``rss`` at each point of
+a fixed grid; each of its rows is byte for byte the row that command
+prints at that point with the same flags.
 """
 
 from __future__ import annotations
@@ -223,16 +227,14 @@ def _write_rows(rows: list[list[str]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its CSV rows, header first
 # ---------------------------------------------------------------------------
 
-_ALL_KINDS = tuple(EstimatorKind)
-
-
-def _selected_kinds(name: str) -> tuple[EstimatorKind, ...]:
-    if name == "all":
-        return _ALL_KINDS
-    return (EstimatorKind(name),)
+def _config(args) -> SimulationConfig | None:
+    """The simulation settings that ``--method`` implies: None for app."""
+    if args.method == "app":
+        return None
+    return SimulationConfig(replications=args.reps, seed=args.seed)
 
 
 _RISK_HEADER = {
@@ -244,83 +246,85 @@ _RISK_HEADER = {
 }
 
 
-def _risk_row(model_name, model, kinds, n, n_star, args):
-    """Evaluate the risks of ``kinds`` at (n, n*) with the method, seed,
-    reps and threads in ``args``; returns the CSV row, whose fields for
-    the other kinds are empty."""
-    precision = args.precision
-    row = [model_name, args.method, str(n), "" if n_star is None else str(n_star)]
-    if args.method == "app":
-        dq = derive(model)
-        values = {k: [_fmt(risk_app(k, dq, n, n_star).total, precision)]
-                  for k in kinds}
-        width, tail = 1, []
-    else:
-        config = SimulationConfig(replications=args.reps, seed=args.seed)
-        row += [str(config.seed), str(config.replications)]
-        runs = [simulate_risk(k, model, n, n_star, config, args.threads)
-                for k in kinds]
-        values = {r.kind: [_fmt(r.mean_loss, precision), _fmt(r.std_error, precision)]
-                  for r in runs}
-        # every kind sees the same present draws, so one discard rate
-        width, tail = 2, [_fmt(runs[-1].discard_rate, precision)]
-    for kind in _ALL_KINDS:
-        row += values.get(kind, [""] * width)
-    return row + tail
+def _risk_rows(model_name, model, kinds, points, args) -> list[list[str]]:
+    """The risk table of ``kinds`` at each (n, n*) in ``points``, with the
+    method, seed, reps and threads in ``args``; the fields of the other
+    kinds are empty."""
+    precision, config = args.precision, _config(args)
+    dq = derive(model) if config is None else None
+    rows = [_RISK_HEADER[args.method]]
+    for n, n_star in points:
+        row = [model_name, args.method, str(n),
+               "" if n_star is None else str(n_star)]
+        if config is None:
+            values = {k: [_fmt(risk_app(k, dq, n, n_star).total, precision)]
+                      for k in kinds}
+            width, tail = 1, []
+        else:
+            row += [str(config.seed), str(config.replications)]
+            runs = [simulate_risk(k, model, n, n_star, config, args.threads)
+                    for k in kinds]
+            values = {r.kind: [_fmt(r.mean_loss, precision),
+                               _fmt(r.std_error, precision)] for r in runs}
+            # every kind sees the same present draws, so one discard rate
+            width, tail = 2, [_fmt(runs[-1].discard_rate, precision)]
+        for kind in EstimatorKind:
+            row += values.get(kind, [""] * width)
+        rows.append(row + tail)
+    return rows
 
 
-def _cmd_risk(args) -> int:
+def _cmd_risk(args) -> list[list[str]]:
     model = load_model(args.model)
-    kinds = _selected_kinds(args.estimator)
-    needs_prior = any(k is not EstimatorKind.PRESENT for k in kinds)
+    kinds = (tuple(EstimatorKind) if args.estimator == "all"
+             else (EstimatorKind(args.estimator),))
+    needs_prior = args.estimator != EstimatorKind.PRESENT.value
     if needs_prior and args.nstar is None:
         raise _UsageError(
             f"--estimator {args.estimator} needs --nstar"
         )
     # the present estimator ignores n*, so its row leaves the field empty
     n_star = args.nstar if needs_prior else None
-    _write_rows([_RISK_HEADER[args.method],
-                 _risk_row(args.model, model, kinds, args.n, n_star, args)])
-    return 0
+    return _risk_rows(args.model, model, kinds, [(args.n, n_star)], args)
 
 
 _RSS_HEADER = ["model", "kind", "method", "n0", "n0star", "seed",
                "replications", "rss"]
 
 
-def _rss_row(model_name, model, kind, n0, n0_star, args):
-    """Solve one r.s.s. query with the method, seed, reps and threads in
-    ``args``; returns its CSV row."""
-    config = None
-    if args.method == "sim":
-        config = SimulationConfig(replications=args.reps, seed=args.seed)
-    query = RssQuery(kind=kind, n0=n0, n0_star=n0_star,
-                     method=args.method, config=config)
-    rss = required_sample_size(query, model, workers=args.threads)
-    return [model_name, kind.value, args.method, str(n0),
-            "" if n0_star is None else str(n0_star),
-            "" if config is None else str(config.seed),
-            "" if config is None else str(config.replications),
-            str(rss)]
+def _rss_rows(model_name, model, kind, points, args) -> list[list[str]]:
+    """The r.s.s. table of ``kind`` at each (n0, n0*) in ``points``, with
+    the method, seed, reps and threads in ``args``."""
+    config = _config(args)
+    provenance = (["", ""] if config is None
+                  else [str(config.seed), str(config.replications)])
+    rows = [_RSS_HEADER]
+    for n0, n0_star in points:
+        # prior-vs-present ignores n0*, so its row leaves the field empty
+        if kind is RssKind.PRIOR_TO_PRESENT:
+            n0_star = None
+        query = RssQuery(kind=kind, n0=n0, n0_star=n0_star,
+                         method=args.method, config=config)
+        rss = required_sample_size(query, model, workers=args.threads)
+        rows.append([model_name, kind.value, args.method, str(n0),
+                     "" if n0_star is None else str(n0_star),
+                     *provenance, str(rss)])
+    return rows
 
 
-def _cmd_rss(args) -> int:
+def _cmd_rss(args) -> list[list[str]]:
     model = load_model(args.model)
     kind = RssKind(args.kind)
     if kind is RssKind.PRESENT_TO_POOLED and args.n0star is None:
         raise _UsageError("--kind present-vs-pooled needs --n0star")
-    # prior-vs-present ignores n0*, so its row leaves the field empty
-    n0_star = args.n0star if kind is RssKind.PRESENT_TO_POOLED else None
-    _write_rows([_RSS_HEADER,
-                 _rss_row(args.model, model, kind, args.n0, n0_star, args)])
-    return 0
+    return _rss_rows(args.model, model, kind, [(args.n0, args.n0star)], args)
 
 
 #: the advice stage each ``--stage`` value names
 _STAGES = {"post": AdviceContext.POST_SURVEY, "plan": AdviceContext.PLANNING}
 
 
-def _cmd_advise(args) -> int:
+def _cmd_advise(args) -> list[list[str]]:
     model = load_model(args.model)
     stage = _STAGES[args.stage]
     if args.plug_in is not None:  # plug the model's own marginals in
@@ -346,11 +350,10 @@ def _cmd_advise(args) -> int:
     row = [args.model, rec.context.value, str(rec.n), str(rec.n_star),
            _fmt(rec.statistic, args.precision), rec.decision.value,
            ";".join(_fmt(m, args.precision) for m in rec.plug_in_marginals)]
-    _write_rows([header, row])
-    return 0
+    return [header, row]
 
 
-# (n, n*) grids and n0 grids for the bundled models' reference tables;
+# (n, n*) and (n0, n0*) grids for the bundled models' reference tables;
 # example k is BUNDLED_MODEL_NAMES[k - 1]
 _RISK_GRIDS = {
     1: ([(100, 100000), (150, 100000), (200, 100000), (250, 100000),
@@ -361,28 +364,21 @@ _RISK_GRIDS = {
     3: [(n, ns) for n in (1000, 2000, 3000) for ns in (1000, 2000, 3000)],
 }
 _RSS_GRIDS = {
-    1: list(range(400, 2001, 200)),
-    2: list(range(200, 1001, 200)),
-    3: [1000, 1500, 2000, 2500, 3000],
+    1: [(n0, n0) for n0 in range(400, 2001, 200)],
+    2: [(n0, n0) for n0 in range(200, 1001, 200)],
+    3: [(n0, n0) for n0 in (1000, 1500, 2000, 2500, 3000)],
 }
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> list[list[str]]:
     model_name = BUNDLED_MODEL_NAMES[args.example - 1]
     model = load_model(model_name)
     if args.table == "risk":
-        rows = [_RISK_HEADER[args.method]]
-        for n, ns in _RISK_GRIDS[args.example]:
-            rows.append(_risk_row(model_name, model, _ALL_KINDS, n, ns, args))
-    else:
-        kind = (RssKind.PRIOR_TO_PRESENT if args.table == "rss-prior"
-                else RssKind.PRESENT_TO_POOLED)
-        rows = [_RSS_HEADER]
-        for n0 in _RSS_GRIDS[args.example]:
-            n0_star = n0 if kind is RssKind.PRESENT_TO_POOLED else None
-            rows.append(_rss_row(model_name, model, kind, n0, n0_star, args))
-    _write_rows(rows)
-    return 0
+        return _risk_rows(model_name, model, tuple(EstimatorKind),
+                          _RISK_GRIDS[args.example], args)
+    kind = (RssKind.PRIOR_TO_PRESENT if args.table == "rss-prior"
+            else RssKind.PRESENT_TO_POOLED)
+    return _rss_rows(model_name, model, kind, _RSS_GRIDS[args.example], args)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,8 @@ def run(argv: Sequence[str]) -> int:
             else:
                 Path(args.dump_model).write_text(text, encoding="utf-8")
             return 0
-        return args.func(args)
+        _write_rows(args.func(args))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -66,7 +66,7 @@ BUNDLED_MODEL_NAMES: tuple[str, ...] = tuple(_MODELS)
 
 def bundled_model(name: str) -> TwoStageModel:
     """Return a bundled model by name; raises DomainError for unknown names."""
-    if name not in _MODELS:
+    if not isinstance(name, str) or name not in _MODELS:
         raise DomainError(
             f"unknown bundled model {name!r}; choices: {', '.join(BUNDLED_MODEL_NAMES)}"
         )

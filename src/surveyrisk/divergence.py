@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .errors import DomainError, NotNormalized, ShapeError, ZeroTruth
-from .model import NORMALIZATION_TOL, TwoStageModel, derive
+from .model import NORMALIZATION_TOL, TwoStageModel, as_floats, as_tuple, derive
 
 __all__ = [
     "ProbabilityEstimate",
@@ -45,7 +45,13 @@ class ProbabilityEstimate:
     cells: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for i, g in enumerate(self.cells):
+        cells = tuple(as_floats(g, f"estimate group {i}")
+                      for i, g in enumerate(as_tuple(self.cells, "estimate cells")))
+        if not cells or any(g.ndim != 1 for g in cells):
+            raise ShapeError("an estimate needs one vector of cells per group")
+        # the instance is frozen; normalize its fields before anyone sees it
+        vars(self).update(cells=cells)
+        for i, g in enumerate(cells):
             if np.any(g < 0.0) or not np.all(np.isfinite(g)):
                 raise DomainError(f"estimate group {i} has a negative or "
                                   f"non-finite entry")
@@ -83,8 +89,7 @@ def kl_divergence(estimate, truth) -> float:
     at 0 so rounding on near-identical inputs cannot produce a negative
     loss.
     """
-    e = np.asarray(estimate, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
+    e, t = as_floats(estimate, "estimate"), as_floats(truth, "truth")
     if e.shape != t.shape or e.ndim != 1:
         raise ShapeError(f"estimate shape {e.shape} vs truth shape {t.shape}")
     if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
@@ -103,6 +108,9 @@ def kl_divergence(estimate, truth) -> float:
 def chain_rule(estimate: ProbabilityEstimate, model: TwoStageModel) -> ChainRuleBreakdown:
     """Decompose D[estimate : model] into first- and second-stage parts."""
     dq = derive(model)
+    if not isinstance(estimate, ProbabilityEstimate):
+        raise DomainError("estimate must be a ProbabilityEstimate, got "
+                          f"{type(estimate).__name__}")
     if estimate.group_sizes != model.group_sizes:
         raise ShapeError(
             f"estimate layout {estimate.group_sizes} does not match model "

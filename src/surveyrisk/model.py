@@ -130,6 +130,24 @@ def as_int(x: object, what: str, least: int = 1) -> int:
     return value
 
 
+def as_tuple(x: object, what: str) -> tuple:
+    """``x`` as a tuple if it is iterable, else DomainError."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got "
+                          f"{type(x).__name__}") from None
+
+
+def as_floats(x: object, what: str) -> np.ndarray:
+    """``x`` as a float64 array if numpy can convert it, else DomainError."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be real numbers, got "
+                          f"{type(x).__name__}") from None
+
+
 @dataclass(frozen=True)
 class SurveyCounts:
     """Observed counts: per-cell from the present survey, per-group from the
@@ -147,15 +165,17 @@ class SurveyCounts:
     prior: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.present) == 0:
+        present = as_tuple(self.present, "present counts")
+        if len(present) == 0:
             raise ShapeError("present counts need at least one group")
         present = tuple(
             tuple(as_int(x, f"present count of group {i}", least=0)
-                  for x in row)
-            for i, row in enumerate(self.present)
+                  for x in as_tuple(row, f"present counts of group {i}"))
+            for i, row in enumerate(present)
         )
         prior = self.prior
         if prior is not None:
+            prior = as_tuple(prior, "prior counts")
             if len(prior) != len(present):
                 raise ShapeError(
                     f"prior counts cover {len(prior)} groups, present "
@@ -197,7 +217,8 @@ def build_model(
     divided by the grand total; otherwise the grand total must already be
     within ``NORMALIZATION_TOL`` of 1.
     """
-    groups = [np.asarray(g, dtype=np.float64) for g in raw_cells]
+    groups = [as_floats(g, f"group {i}")
+              for i, g in enumerate(as_tuple(raw_cells, "raw_cells"))]
     if len(groups) < 2:
         raise ShapeError(f"need at least 2 groups, got {len(groups)}")
     for i, g in enumerate(groups):
@@ -222,7 +243,7 @@ def build_model(
     if labels is None:
         labels = tuple(f"g{i + 1}" for i in range(len(groups)))
     else:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(str(x) for x in as_tuple(labels, "labels"))
         if len(labels) != len(groups):
             raise ShapeError(
                 f"{len(labels)} labels for {len(groups)} groups"

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,7 +80,14 @@ from .errors import (
     ZeroGroupCount,
 )
 from .estimators import EstimatorKind
-from .model import NORMALIZATION_TOL, SurveyCounts, TwoStageModel, as_int, derive
+from .model import (
+    NORMALIZATION_TOL,
+    SurveyCounts,
+    TwoStageModel,
+    as_int,
+    as_tuple,
+    derive,
+)
 from .montecarlo import SimulationConfig, simulate_risk
 
 __all__ = [
@@ -226,6 +234,8 @@ def required_sample_size(
     """
     workers = as_int(workers, "workers")
     dq = derive(model)
+    if not isinstance(query, RssQuery):
+        raise DomainError(f"query must be an RssQuery, got {type(query).__name__}")
     n0 = query.n0
     cap = n0 * 2**MAX_DOUBLINGS
 
@@ -276,7 +286,8 @@ def required_sample_size(
 # ---------------------------------------------------------------------------
 
 def _layout(group_sizes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(as_int(j, "a group size", least=0) for j in group_sizes)
+    return tuple(as_int(j, "a group size", least=0)
+                 for j in as_tuple(group_sizes, "group_sizes"))
 
 
 def _check_stage(stage: AdviceContext) -> None:
@@ -299,6 +310,8 @@ def advise_from_marginals(
     """
     _check_stage(stage)
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
+    group_sizes = as_tuple(group_sizes, "group_sizes")
+    marginals = as_tuple(marginals, "marginals")
     if len(group_sizes) != len(marginals):
         raise ShapeError(
             f"{len(group_sizes)} group sizes vs {len(marginals)} marginals"
@@ -306,6 +319,9 @@ def advise_from_marginals(
     if len(marginals) < 2:
         raise ShapeError("need at least 2 groups")
     for i, m in enumerate(marginals):
+        if not isinstance(m, numbers.Real):
+            raise DomainError(f"plug-in marginal for group {i} is {m!r}, "
+                              f"not a real number")
         if not math.isfinite(m):
             raise DomainError(f"plug-in marginal for group {i} is {m!r}, not finite")
         if m <= 0.0:

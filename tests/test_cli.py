@@ -330,6 +330,14 @@ def test_computation_errors_exit_1(capsys):
                 "prior-vs-present", "--n0", "90", "--method", "app"]) == 1
     err = capsys.readouterr().err
     assert "Unattainable" in err
+    # the model loads before the flag combination is checked, so an
+    # unknown model fails as a file error even where --nstar or --n0star
+    # is also missing
+    assert run(["risk", "--model", "no-such-model", "--estimator", "pooled",
+                "--method", "app", "--n", "200"]) == 1
+    assert run(["rss", "--model", "no-such-model", "--kind",
+                "present-vs-pooled", "--n0", "100", "--method", "app"]) == 1
+    assert capsys.readouterr().err.count("error: ParseError") == 2
 
 
 def test_help_exits_zero(capsys):

@@ -20,6 +20,12 @@ Every ``SIMULATED`` case runs twice: on an empty memo of present draws,
 and right after another kind at the same key, which the engine serves
 from its memo.
 
+``TABLES`` pins the sha256 of every CSV that ``surveyrisk reproduce
+--precision full`` writes: the 9 analytic tables, and the 9 simulated
+ones at ``--reps 512``.  Each row of an analytic table is also checked
+against the row that ``risk --estimator all`` or ``rss`` prints at the
+same grid point.
+
 A change that moves any of these values, even in the last bit, changes
 what the package reproduces.  Update the fixture only on purpose, and
 record why in CHANGES.md; ``python tests/test_golden.py`` prints the
@@ -28,6 +34,9 @@ current values in the fixture's layout.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 
 from surveyrisk import (
@@ -43,7 +52,7 @@ from surveyrisk import (
     simulate_risk,
 )
 from surveyrisk import montecarlo
-from surveyrisk.cli import _STAGES
+from surveyrisk.cli import _STAGES, run
 from helpers import gap
 
 #: (model, kind, n, n*, replications, seed) -> (mean_loss, std_error, discard_rate)
@@ -74,6 +83,46 @@ RSS_SIMULATED = {
     ("example2-breast-cancer", "prior-vs-present", 400, None, 4096, 20190415): 442,
     ("example2-breast-cancer", "present-vs-pooled", 400, 400, 4096, 20190415): 458,
     ("example1-uniform100x2", "present-vs-pooled", 400, 400, 4096, 20190415): 401,
+}
+
+#: (method, example, table) -> sha256 of ``reproduce --precision full``
+TABLES = {
+    ("app", 1, "risk"):
+        "1699c682cc7b713ce72a069e856b50c21b90d6571e88dfa74ba053c1cbd7fc26",
+    ("app", 1, "rss-prior"):
+        "aa7a3d0389be01d574d59dedf80a2f71e644c0dbb1f50fb38cf5499068f362b9",
+    ("app", 1, "rss-pooled"):
+        "8cb4a410dd231011ded74023a8fb10a3e711a06f32e960bf46fb93dae9b7de12",
+    ("app", 2, "risk"):
+        "653b7e5499f52c5b5272f8f2db304345ce005f92d75be2a671b1a4f6cc2ca2c0",
+    ("app", 2, "rss-prior"):
+        "4a4d4c4f2d6753326da7548748921a8f222f35e6c2dbd06381a9a9e513aa99ce",
+    ("app", 2, "rss-pooled"):
+        "c269a06b05a41a78bc29c2c53974d45abb9294336d3fbdd6ae946e6aaf7187d3",
+    ("app", 3, "risk"):
+        "aa8e08b32a5fa893c8a8666112238a6b1faf06d3cb4dc7679d726a995ed3961d",
+    ("app", 3, "rss-prior"):
+        "8179613b2cbb8a9b5ccbbb34ffa1e485c0905226a22d7c0977a22e490a6c3ea3",
+    ("app", 3, "rss-pooled"):
+        "3f33e0cd7127628afff6cc1a77e4a35f6590fa794e8a65c9938ac4ea6448194e",
+    ("sim", 1, "risk"):
+        "ae09d782b7e31fbd77d91e034fc5d50d0663adb5ec695982c24205bde1e69fbf",
+    ("sim", 1, "rss-prior"):
+        "d08c6d8c827eb2e5457872061272a0c219e1ef0b212eac758f1da6eeafb6ba49",
+    ("sim", 1, "rss-pooled"):
+        "1e18c74340580f7a03abfbf0067787335f633f758c7f7ed78842ad6a4535d6e0",
+    ("sim", 2, "risk"):
+        "b6563a1331c088f4c044728b3dbf0949032c8632e6e327afc58eec406048718d",
+    ("sim", 2, "rss-prior"):
+        "27ce80c6de003b51b70cf4394829afd90fa4d33b69ba03e1956e7a923240a8e8",
+    ("sim", 2, "rss-pooled"):
+        "e1f1bca47eccc7db7eea13ce4a5b38d6785a2568a1f898569f08f80a3efa8b37",
+    ("sim", 3, "risk"):
+        "f174688f9cc01a4ffea08abd83595cd6d296d5c558d64523ca12afe37c5bcaa1",
+    ("sim", 3, "rss-prior"):
+        "03ba66c20dd4bb8009933d99e7ae0e7cfc8eee05a2c1e85dc4b4161750fbc058",
+    ("sim", 3, "rss-pooled"):
+        "289818e8de9b1382153eed7eb383de03317e3c5e8edda1fc2a19d6c5849c45b9",
 }
 
 #: (function, model, kind or stage, n, n*) -> pinned values
@@ -345,6 +394,50 @@ def test_approximated_values_are_pinned_bitwise():
     assert got == APPROXIMATED
 
 
+def _stdout(argv):
+    """What ``surveyrisk argv`` writes to stdout; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+def _reproduce(method, example, table):
+    reps = ["--reps", "512"] if method == "sim" else []
+    return _stdout(["reproduce", "--example", str(example), "--table", table,
+                    "--method", method, "--precision", "full", *reps])
+
+
+def _digest(key):
+    return hashlib.sha256(_reproduce(*key).encode()).hexdigest()
+
+
+def test_reproduced_tables_are_pinned_bytewise():
+    got = {key: _digest(key) for key in TABLES}
+    assert got == TABLES
+
+
+def _single_point(table, row):
+    """The ``risk`` or ``rss`` command line for one row of a table."""
+    model, common = row["model"], ["--method", "app", "--precision", "full"]
+    if table == "risk":
+        return ["risk", "--model", model, "--estimator", "all", "--n", row["n"],
+                "--nstar", row["nstar"], *common]
+    n0star = ["--n0star", row["n0star"]] if row["n0star"] else []
+    return ["rss", "--model", model, "--kind", row["kind"], "--n0", row["n0"],
+            *n0star, *common]
+
+
+def test_each_reproduced_row_is_the_single_point_row():
+    """``reproduce`` is ``risk --estimator all`` or ``rss`` over a grid."""
+    for example, table in {key[1:] for key in TABLES if key[0] == "app"}:
+        header, *lines = _reproduce("app", example, table).splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert _stdout(_single_point(table, row)).splitlines() == [
+                header, line]
+
+
 if __name__ == "__main__":
     for key in SIMULATED:
         print(f"    {key!r}:\n        {_simulate(*key)!r},")
@@ -353,3 +446,5 @@ if __name__ == "__main__":
     for key in _approximation_keys():
         shown = repr(key).replace(" inf)", " math.inf)")
         print(f"    {shown}:\n        {_approximate(*key)!r},")
+    for key in TABLES:
+        print(f"    {key!r}:\n        {_digest(key)!r},")

@@ -19,13 +19,16 @@ from surveyrisk import (
 )
 from surveyrisk import (
     EstimatorKind,
+    ProbabilityEstimate,
     RssKind,
     RssQuery,
     SurveyRiskError,
     advise,
+    advise_from_marginals,
     chain_rule,
     discard_probability,
     estimate,
+    kl_divergence,
     required_sample_size,
     risk_app,
     simulate_risk,
@@ -138,9 +141,37 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
      "SurveyCounts, got tuple"),
     (lambda: advise(((2, 2), (3, 3)), (2, 2)), "SurveyCounts, got tuple"),
     (lambda: bundled_model("example4-nowhere"), "unknown bundled model"),
+    (lambda: chain_rule(((0.5, 0.5),), _BREAST_CANCER),
+     "ProbabilityEstimate, got tuple"),
+    (lambda: kl_divergence(_BREAST_CANCER, _BREAST_CANCER),
+     "real numbers, got TwoStageModel"),
+    (lambda: required_sample_size((1, 2), _BREAST_CANCER), "RssQuery, got tuple"),
+    (lambda: advise_from_marginals(_BREAST_CANCER, (2, 2), 200, 600),
+     "group_sizes must be a sequence, got TwoStageModel"),
+    (lambda: advise_from_marginals((2, 2), None, 200, 600),
+     "marginals must be a sequence, got NoneType"),
+    (lambda: advise_from_marginals((2, 2), "ab", 200, 600),
+     "'a', not a real number"),
+    (lambda: advise_from_marginals((2, 2), ["0.5", "0.5"], 200, 600),
+     "'0.5', not a real number"),
+    (lambda: advise(_COUNTS, None), "group_sizes must be a sequence"),
+    (lambda: build_model(None), "raw_cells must be a sequence"),
+    (lambda: build_model([[0.5], [0.5]], labels=5),
+     "labels must be a sequence, got int"),
+    (lambda: SurveyCounts(present=None), "present counts must be a sequence"),
+    (lambda: SurveyCounts(present=(1, 2)),
+     "present counts of group 0 must be a sequence, got int"),
+    (lambda: ProbabilityEstimate(None), "estimate cells must be a sequence"),
+    (lambda: bundled_model([1]), "unknown bundled model"),
 ], ids=["risk_app-model", "simulate_risk-name", "required_sample_size-derived",
         "discard_probability-derived", "chain_rule-derived", "estimate-tuple",
-        "advise-tuple", "bundled_model-unknown"])
+        "advise-tuple", "bundled_model-unknown", "chain_rule-tuple",
+        "kl_divergence-model", "required_sample_size-tuple",
+        "advise_from_marginals-model", "advise_from_marginals-none",
+        "advise_from_marginals-string", "advise_from_marginals-strings",
+        "advise-none", "build_model-none", "build_model-int-labels",
+        "SurveyCounts-none", "SurveyCounts-flat", "ProbabilityEstimate-none",
+        "bundled_model-list"])
 def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
     """A model, derived quantities or counts of the wrong type, and an
     unknown bundled name, raise DomainError, a SurveyRiskError that names
