@@ -27,18 +27,16 @@ patching it at this layer would hide a broken caller.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .divergence import ProbabilityEstimate
 from .errors import DomainError, MissingNStar, MissingPriorCounts, ZeroGroupCount
-from .model import SurveyCounts, as_int
+from .model import CheckedEnum, SurveyCounts, as_int
 
 __all__ = ["EstimatorKind", "estimate"]
 
 
-class EstimatorKind(enum.Enum):
+class EstimatorKind(CheckedEnum):
     """Where the first-stage marginals come from."""
 
     PRESENT = "present"

@@ -29,10 +29,11 @@ are marked read-only, so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -140,12 +141,32 @@ def as_tuple(x: object, what: str) -> tuple:
 
 
 def as_floats(x: object, what: str) -> np.ndarray:
-    """``x`` as a float64 array if numpy can convert it, else DomainError."""
+    """``x`` as a float64 array if numpy can convert it, else DomainError.
+
+    A str or bytes element is refused even where numpy would parse it
+    ("0.5"), so that one rule holds wherever real numbers are expected.
+    """
     try:
+        a = np.asarray(x)
+        if a.dtype.kind in "OSU":
+            for v in a.ravel().tolist():
+                if isinstance(v, (str, bytes)):
+                    raise DomainError(f"{what} must be real numbers, got {v!r}")
         return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers, got "
                           f"{type(x).__name__}") from None
+
+
+class CheckedEnum(enum.Enum):
+    """An enum whose lookup of a non-member raises DomainError naming the
+    members' values, not the standard library's ValueError."""
+
+    @classmethod
+    def _missing_(cls, value: object) -> NoReturn:
+        choices = ", ".join(repr(m.value) for m in cls)
+        raise DomainError(f"{value!r} is not a valid {cls.__name__}; "
+                          f"choices: {choices}")
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,14 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      prior counts are a chained binomial inverse-CDF of them per group,
      exactly the integers ``scipy.stats.binom.ppf`` returns, reached
      through a checked guess: a skew-corrected normal quantile, accepted
-     where one CDF pass over the distinct (trials, count) points brackets
-     the uniform, and ``binom.ppf`` itself for the few rows it does not.
+     or moved by one count where a CDF table brackets the uniform, and
+     ``binom.ppf`` itself for the few rows it does not.  The table holds
+     the group's R trial counts by the C guessed counts: one row of
+     ``binom.cdf``, then R - 1 steps of the exact recurrence in the trial
+     count, each a convex combination, so it stays within about 1e-13 of
+     the exact CDF relative, a tenth of the check's margin.  Past R = 256
+     or R * (C + R) = 16 * rows it gives way to ``binom.cdf`` at the
+     distinct (trials, count) points; no bundled model reaches that.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -206,8 +212,52 @@ def _draw_totals(
 _TIE_RTOL = 1e-12
 
 #: bound on the normal quantile in the guess, so that u = 0 (ndtri = -inf)
-#: and a zero standard deviation give a finite guess; the check corrects it
-_Z_CLAMP = 40.0
+#: and a zero standard deviation give a finite guess; the check corrects it.
+#: Every uniform in [2**-53, 1 - 2**-53] lies inside, and a bound near them
+#: keeps u = 0 from widening the CDF table's counts
+_Z_CLAMP = 8.3
+
+#: the CDF table spans at most this many trial counts ...
+_TABLE_MAX_TRIALS = 256
+
+#: ... and R * (C + R) at most this many cells per row, for R trial
+#: counts and C counts; larger boxes take the deduplicated CDF points
+_TABLE_CELLS_PER_ROW = 16
+
+
+def _cdf_table(r_lo: int, R: int, c_lo: int, C: int, q: float) -> np.ndarray:
+    """``binom.cdf(c, r, q)`` for the R trial counts r_lo <= r < r_lo + R and
+    the C counts c_lo <= c < c_lo + C, as an (R, C) array.
+
+    The row at r_lo is ``binom.cdf``'s, over the counts down to c_lo - R + 1:
+    ``binom._cdf``, the same CDF without its argument checks, at the
+    counts 0 <= c < r_lo, and its support rules elsewhere, 0 below 0 and
+    1 from r_lo up.  Each next row follows from the exact identity
+    F(c; r + 1) = q F(c - 1; r) + (1 - q) F(c; r), one correlation that
+    drops the lowest count.  Each step is a convex combination of
+    nonnegative values, so it adds at most three roundings of relative
+    error (one of them in 1 - q): after R - 1 <= 255 steps the table is
+    within 3 * 255 * 2**-53, about 8.5e-14, of the exact recurrence from
+    its first row, a tenth of ``_TIE_RTOL``; only values that underflow,
+    below 1e-300, lose their relative precision.  ``binom.cdf`` itself is
+    off by up to about 1.2e-13 relative in the lower tail, so the two
+    agree within 2e-13.
+    """
+    width = C + R - 1
+    c0 = c_lo - R + 1
+    a = min(max(-c0, 0), width)
+    b = min(max(r_lo - c0, a), width)
+    row = np.empty(width)
+    row[:a] = 0.0
+    row[b:] = 1.0
+    row[a:b] = binom._cdf(np.arange(c0 + a, c0 + b), r_lo, q)
+    kernel = np.array([q, 1.0 - q])
+    table = np.empty((R, C))
+    table[0] = row[R - 1:]
+    for j in range(1, R):
+        row = np.correlate(row, kernel)
+        table[j] = row[R - 1 - j:]
+    return table
 
 
 def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
@@ -216,29 +266,53 @@ def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
 
     A skew-corrected (Cornish-Fisher) normal quantile guesses each count
     k; the guess stands where cdf(k - 1) < u <= cdf(k), with u clear of
-    both values by ``_TIE_RTOL``.  The CDF is evaluated once per distinct
-    (trials, count) point, which is far fewer points than rows.  Rows the
-    check does not settle are passed to ``binom.ppf``.
+    both values by ``_TIE_RTOL``.  The CDF comes from one table
+    (:func:`_cdf_table`) over the R trial counts of the rows and the C
+    guessed counts widened by one each side, which also corrects a guess
+    one count off; it is used while R <= ``_TABLE_MAX_TRIALS`` and
+    R * (C + R) <= ``_TABLE_CELLS_PER_ROW`` * rows.  A larger box takes
+    ``binom.cdf`` once per distinct (trials, count) point, which is far
+    fewer points than rows.  Rows the check does not settle are passed
+    to ``binom.ppf``.
     """
-    # a CDF point (r, c) is keyed as r * width + c + 1, for the counts
-    # c = k - 1 and c = k; past about 3e9 trials the key overflows int64
-    width = int(r.max(initial=0)) + 2
-    if width * width > np.iinfo(np.int64).max:
-        return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
-
     mean = r * q
     sd = np.sqrt(mean * (1.0 - q))
     z = np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)
     guess = np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
     k = np.clip(guess, 0, r).astype(np.int64)
+    lo, hi = u * (1.0 - _TIE_RTOL), u * (1.0 + _TIE_RTOL)
 
-    keys = np.concatenate((r * width + k, r * width + k + 1))
-    points, where = np.unique(keys, return_inverse=True)
-    cdf = binom.cdf(points % width - 1, points // width, q)[where]
-    below, at = cdf[:u.size], cdf[u.size:]
-    settled = (below < u * (1.0 - _TIE_RTOL)) & (u * (1.0 + _TIE_RTOL) < at)
-
-    rest = np.flatnonzero(~settled)
+    r_lo, k_lo = int(r.min()), int(k.min())
+    R = int(r.max()) - r_lo + 1
+    C = int(k.max()) - k_lo + 4  # counts k_lo - 2 .. k_hi + 1
+    if R <= _TABLE_MAX_TRIALS and R * (C + R) <= _TABLE_CELLS_PER_ROW * u.size:
+        cdf = _cdf_table(r_lo, R, k_lo - 2, C, q).ravel()
+        at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
+        # below 2**-1000 the table's subnormal roundings may exceed the margin
+        settled = (cdf.take(at) < lo) & (hi < cdf.take(at + 1)) & (u > 2.0**-1000)
+        rest = np.flatnonzero(~settled)
+        # how many of the counts k - 2 .. k + 1 lie below u places a guess
+        # one count off, unless one of them lies within the margin of u
+        at, lo, hi = at[rest] - 1, lo[rest], hi[rest]
+        below, clear = 0, u[rest] > 2.0**-1000
+        for i in range(4):
+            f = cdf.take(at + i)
+            under = f < lo
+            below += under
+            clear &= under | (hi < f)
+        k[rest] += below - 2
+        rest = rest[~clear | (below == 0) | (below == 4)]
+    else:
+        # a CDF point (r, c) is keyed as r * width + c + 1, for the counts
+        # c = k - 1 and c = k; past about 3e9 trials the key overflows int64
+        width = int(r.max()) + 2
+        if width * width > np.iinfo(np.int64).max:
+            return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
+        keys = np.concatenate((r * width + k, r * width + k + 1))
+        points, where = np.unique(keys, return_inverse=True)
+        cdf = binom.cdf(points % width - 1, points // width, q)[where]
+        settled = (cdf[:u.size] < lo) & (hi < cdf[u.size:])
+        rest = np.flatnonzero(~settled)
     if rest.size:
         k[rest] = np.maximum(binom.ppf(u[rest], r[rest], q), 0.0)
     return k

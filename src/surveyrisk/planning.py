@@ -63,7 +63,6 @@ truncated expansion pooling is not predicted to hurt.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,6 +81,7 @@ from .errors import (
 from .estimators import EstimatorKind
 from .model import (
     NORMALIZATION_TOL,
+    CheckedEnum,
     SurveyCounts,
     TwoStageModel,
     as_int,
@@ -105,18 +105,18 @@ __all__ = [
 MAX_DOUBLINGS = 20
 
 
-class RssKind(enum.Enum):
+class RssKind(CheckedEnum):
     PRIOR_TO_PRESENT = "prior-vs-present"
     PRESENT_TO_POOLED = "present-vs-pooled"
 
 
-class Decision(enum.Enum):
+class Decision(CheckedEnum):
     USE_POOLED = "UsePooled"
     USE_PRESENT_ONLY = "UsePresentOnly"
     INCREASE_N = "IncreaseN"
 
 
-class AdviceContext(enum.Enum):
+class AdviceContext(CheckedEnum):
     POST_SURVEY = "PostSurvey"
     PLANNING = "Planning"
 

@@ -6,11 +6,8 @@ property below calls each callable in ``surveyrisk.__all__`` with one
 argument per parameter, drawn from a pool of common slips (None, a
 string, NaN, ``bool``, numpy integers, negative values, a model where
 derived quantities are expected and the reverse) mixed with valid values,
-so that a call also gets past its first check.
-
-The enum classes are left out: calling one looks a member up, and its
-ValueError for a non-member is the standard library's; every entry point
-that takes a member refuses anything else with DomainError.
+so that a call also gets past its first check.  Calling an enum class
+looks a member up, and a non-member raises DomainError.
 
 Every call stays small: sizes are at most 64, every SimulationConfig has
 at most 64 replications (one block, so no worker thread starts), every
@@ -27,12 +24,15 @@ import numbers
 from datetime import timedelta
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surveyrisk
 from surveyrisk import (
     AdviceContext,
+    Decision,
+    DomainError,
     EstimatorKind,
     RssKind,
     RssQuery,
@@ -64,16 +64,17 @@ _WORKERS = tuple(v for v in _POOL
                  if not (isinstance(v, numbers.Integral) and v > 4))
 
 _CALLABLES = tuple(
-    name for name in surveyrisk.__all__
-    if callable(getattr(surveyrisk, name))
-    and not isinstance(getattr(surveyrisk, name), enum.EnumMeta)
+    name for name in surveyrisk.__all__ if callable(getattr(surveyrisk, name))
 )
 
 
 def _parameters(fn) -> tuple[str, ...]:
-    """Parameter names; an exception class takes one message."""
+    """Parameter names; an exception class takes one message and an enum
+    class one value."""
     if isinstance(fn, type) and issubclass(fn, BaseException):
         return ("message",)
+    if isinstance(fn, enum.EnumMeta):
+        return ("value",)
     return tuple(inspect.signature(fn).parameters)
 
 
@@ -89,3 +90,17 @@ def test_every_public_callable_returns_or_raises_a_survey_risk_error(data):
         fn(*args)
     except SurveyRiskError:
         pass
+
+
+@pytest.mark.parametrize("enum_class", [EstimatorKind, RssKind, Decision, AdviceContext])
+def test_a_non_member_lookup_raises_domain_error_naming_the_values(enum_class):
+    """Looking up a value that is no member raises DomainError, not the
+    standard library's ValueError, and the message names every value."""
+    for member in enum_class:
+        assert enum_class(member.value) is member
+    for bad in ("bogus", None, 1.5, ["present"]):
+        with pytest.raises(DomainError) as info:
+            enum_class(bad)
+        assert not isinstance(info.value, ValueError)
+        for member in enum_class:
+            assert repr(member.value) in str(info.value)

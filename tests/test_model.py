@@ -163,6 +163,11 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
      "present counts of group 0 must be a sequence, got int"),
     (lambda: ProbabilityEstimate(None), "estimate cells must be a sequence"),
     (lambda: bundled_model([1]), "unknown bundled model"),
+    (lambda: build_model([["0.5"], ["0.5"]]), "group 0 must be real numbers, got '0.5'"),
+    (lambda: kl_divergence(["0.5", "0.5"], [0.5, 0.5]),
+     "estimate must be real numbers, got '0.5'"),
+    (lambda: kl_divergence([0.5, 0.5], [b"0.5", 0.5]),
+     "truth must be real numbers, got b'0.5'"),
 ], ids=["risk_app-model", "simulate_risk-name", "required_sample_size-derived",
         "discard_probability-derived", "chain_rule-derived", "estimate-tuple",
         "advise-tuple", "bundled_model-unknown", "chain_rule-tuple",
@@ -171,7 +176,8 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
         "advise_from_marginals-string", "advise_from_marginals-strings",
         "advise-none", "build_model-none", "build_model-int-labels",
         "SurveyCounts-none", "SurveyCounts-flat", "ProbabilityEstimate-none",
-        "bundled_model-list"])
+        "bundled_model-list", "build_model-strings", "kl_divergence-strings",
+        "kl_divergence-bytes"])
 def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
     """A model, derived quantities or counts of the wrong type, and an
     unknown bundled name, raise DomainError, a SurveyRiskError that names

@@ -397,6 +397,33 @@ def _inverse_grid():
         # trial counts too large for the (trials, count) key
         huge = np.array([3_037_000_498, 4 * 10**9, 10**12], dtype=np.int64)
         yield rng.random(30), np.repeat(huge, 10), q
+    yield from _band_grid()
+
+
+def _band_grid():
+    """(u, r, q) rows shaped like one group of a chained prior draw: the
+    trial counts fill a band of R consecutive values, R = 1 (a constant
+    r, as in the first group), 50 to 256 (the table's cap) and 257 (one
+    past it), and q lies within 1e-6 of 0 and of 1 as well as between.
+    Some uniforms lie within two ulps of a CDF value inside the band, and
+    two are 0 and 1 - 2**-53."""
+    rng = np.random.default_rng(2019)
+    shapes = [(q, R, 4_096) for q in (3e-7, 0.013, 0.36, 0.9, 1.0 - 3e-7)
+              for R in (1, 50, 137)]
+    shapes += [(q, R, 9_000) for q in (3e-7, 0.36, 1.0 - 3e-7) for R in (256, 257)]
+    for q, R, rows in shapes:
+        r = 700 + rng.integers(0, R, size=rows)
+        r[:2] = 700, 700 + R - 1
+        u = rng.random(rows)
+        u[2], u[3] = 0.0, 1.0 - 2.0**-53
+        ties = np.arange(4, 404)
+        rt = r[ties]
+        k = np.round(rt * q + rng.normal(0.0, 2.0, ties.size)
+                     * np.sqrt(rt * q * (1.0 - q)))
+        c = binom.cdf(np.clip(k, 0, rt), rt, q)
+        u[ties] = np.clip(c + rng.integers(-2, 3, ties.size) * np.spacing(c),
+                          0.0, 1.0)
+        yield u, r, q
 
 
 def test_binom_inverse_matches_binom_ppf_exactly():
@@ -407,6 +434,115 @@ def test_binom_inverse_matches_binom_ppf_exactly():
             want = np.maximum(binom.ppf(u, r, q), 0.0)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (q, np.flatnonzero(got != want))
+
+
+def test_bands_up_to_the_cap_take_the_cdf_table(monkeypatch):
+    """Every band of at most 256 trial counts in ``_band_grid`` is drawn
+    from the CDF table, and the band one past the cap is not."""
+    tables = []
+    cdf_table = montecarlo._cdf_table
+
+    def counted(r_lo, R, c_lo, C, q):
+        tables.append(R)
+        return cdf_table(r_lo, R, c_lo, C, q)
+
+    monkeypatch.setattr(montecarlo, "_cdf_table", counted)
+    for u, r, q in _band_grid():
+        tables.clear()
+        _binom_inverse(u, r, q)
+        R = int(np.ptp(r)) + 1
+        assert tables == ([R] if R <= 256 else []), (q, R)
+
+
+def test_cdf_method_equals_binom_cdf_on_the_support():
+    """The table's first row calls ``binom._cdf``, the distribution's CDF
+    without its argument checks, at the counts 0 <= c < r only; there it
+    must equal ``binom.cdf`` exactly."""
+    for r in (1, 2, 37, 700, 4_000):
+        c = np.arange(r)
+        for q in (3e-7, 0.013, 0.36, 0.5, 0.9, 1.0 - 3e-7):
+            assert np.array_equal(binom._cdf(c, r, q), binom.cdf(c, r, q)), (r, q)
+
+
+#: (q, r_lo) of the CDF table checks: q within 1e-6 of 0 and of 1, the
+#: breast-cancer chain's q, and trial counts of the bundled models' n*
+_TABLE_CASES = [(q, r_lo) for q in (3e-7, 0.013, 0.36, 0.6029, 0.9, 1.0 - 3e-7)
+                for r_lo in (700, 2_900)]
+
+
+def _table_at_the_cap(q, r_lo):
+    """The CDF table over 256 trial counts from r_lo and every count from
+    below 0 to past the largest, with the counts."""
+    R, c_lo, C = 256, -3, r_lo + 262
+    counts = np.arange(c_lo, c_lo + C)
+    return montecarlo._cdf_table(r_lo, R, c_lo, C, q), np.arange(r_lo, r_lo + R), counts
+
+
+@pytest.mark.parametrize("q, r_lo", _TABLE_CASES)
+def test_cdf_table_rounding_stays_within_its_bound_at_the_cap(q, r_lo):
+    """Each of the 255 recurrence steps is a convex combination, so the
+    table is within 3 * 255 * 2**-53 relative of the same recurrence run
+    exactly from the same first row; extended precision stands in for
+    exact (values below 1e-300 underflow and are left out)."""
+    table, _, _ = _table_at_the_cap(q, r_lo)
+    ref = table[0].astype(np.longdouble)
+    # each step drops the lowest count, so the reference starts R - 1
+    # counts lower; those counts are negative, where the CDF is 0
+    R, C = table.shape
+    row = np.zeros(C + R - 1, dtype=np.longdouble)
+    row[R - 1:] = ref
+    got = [ref]
+    qq, pp = np.longdouble(q), np.longdouble(1) - np.longdouble(q)
+    for j in range(1, R):
+        row = qq * row[:-1] + pp * row[1:]
+        got.append(row[R - 1 - j:])
+    ref = np.array(got)
+    keep = ref > 1e-300
+    bound = 3 * 255 * 2.0**-53
+    assert np.all(np.abs(table[keep] - ref[keep]) <= bound * ref[keep])
+
+
+@pytest.mark.parametrize("q, r_lo", _TABLE_CASES)
+def test_cdf_table_agrees_with_binom_cdf_at_the_cap(q, r_lo):
+    """At every value a nonzero uniform can come near (>= 2**-53) the
+    table is within 2e-13 of ``binom.cdf`` relative, a fifth of the
+    check's margin; it is 0 at negative counts and within 1e-13 of 1 from
+    the trials up.  Most of the difference is ``binom.cdf``'s own: against
+    a 50-digit sum it is off by up to 1.2e-13 relative in the lower tail
+    (r = 889, c = 440, q = 0.6029), the table by 7e-15."""
+    table, r, counts = _table_at_the_cap(q, r_lo)
+    want = binom.cdf(counts[None, :], r[:, None], q)
+    near = want >= 2.0**-53
+    assert np.all(np.abs(table[near] - want[near]) <= 2e-13 * want[near])
+    assert np.all(table[:, counts < 0] == 0.0)
+    outside = counts[None, :] >= r[:, None]
+    assert np.all(np.abs(table[outside] - 1.0) <= 1e-13)
+
+
+@pytest.mark.parametrize("name, n_star", [("example2-breast-cancer", 1_000),
+                                          ("example3-household", 3_000)])
+def test_few_chained_draw_rows_reach_binom_ppf(monkeypatch, name, n_star):
+    """On a block of chained prior draws, fewer than 1% of the rows fall
+    through to ``binom.ppf``, counted through a stand-in for
+    ``montecarlo.binom`` as the benchmark's tracer counts them.  A table
+    that silently held NaN would pass the exactness tests and send most
+    rows there."""
+    ppf_rows = []
+
+    class Counted:
+        def ppf(self, u, *args):
+            ppf_rows.append(np.size(u))
+            return binom.ppf(u, *args)
+
+        def __getattr__(self, attr):
+            return getattr(binom, attr)
+
+    monkeypatch.setattr(montecarlo, "binom", Counted())
+    marginals = derive(bundled_model(name)).marginals
+    u = np.random.default_rng(0).random((BLOCK_SIZE, marginals.size - 1))
+    counts = montecarlo._draw_prior(u, marginals, n_star)
+    assert (counts.sum(axis=1) == n_star).all()
+    assert sum(ppf_rows) < 0.01 * u.size
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
