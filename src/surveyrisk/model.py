@@ -144,7 +144,8 @@ def as_floats(x: object, what: str) -> np.ndarray:
     """``x`` as a float64 array if numpy can convert it, else DomainError.
 
     A str or bytes element is refused even where numpy would parse it
-    ("0.5"), so that one rule holds wherever real numbers are expected.
+    ("0.5"), so that one rule holds wherever real numbers are expected,
+    and so is an integer too large for a float.
     """
     try:
         a = np.asarray(x)
@@ -156,6 +157,9 @@ def as_floats(x: object, what: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers, got "
                           f"{type(x).__name__}") from None
+    except OverflowError:
+        raise DomainError(f"{what} must be real numbers within the float "
+                          f"range") from None
 
 
 class CheckedEnum(enum.Enum):
@@ -281,9 +285,20 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
     """
     if not isinstance(model, TwoStageModel):
         raise DomainError(f"model must be a TwoStageModel, got {type(model).__name__}")
-    marginals = np.array([math.fsum(g.tolist()) for g in model.cells])
-    conditionals = tuple(_readonly(g / m) for g, m in zip(model.cells, marginals))
-    sizes = np.array(model.group_sizes, dtype=np.int64)
+    # a model built directly has skipped build_model: check its layout
+    # with build_model's words, in O(I)
+    cells = as_tuple(model.cells, "model cells")
+    if len(cells) < 2:
+        raise ShapeError(f"need at least 2 groups, got {len(cells)}")
+    for i, g in enumerate(cells):
+        if not (isinstance(g, np.ndarray) and g.dtype == np.float64):
+            got = g.dtype if isinstance(g, np.ndarray) else type(g).__name__
+            raise DomainError(f"group {i} must be real numbers, got {got}")
+        if g.ndim != 1 or g.size < 1:
+            raise ShapeError(f"group {i} must be a nonempty vector of cells")
+    marginals = np.array([math.fsum(g.tolist()) for g in cells])
+    conditionals = tuple(_readonly(g / m) for g, m in zip(cells, marginals))
+    sizes = np.array([g.size for g in cells], dtype=np.int64)
     s = sizes - 1
     p_total = int(sizes.sum()) - 1
     M_f = math.fsum(1.0 / m for m in marginals.tolist())

@@ -63,7 +63,13 @@ first-stage marginals q_f: t/n (present), x*/n* (prior) or
 
 and D_i depends on neither the kind nor n*.  It is computed once per
 present draw, group by group, as the sum of rel_entr(x_ij / t_i, p_ij);
-a loss then costs I columns, not a pass over every cell.  The identity
+a loss then costs I columns, not a pass over every cell.  A group whose
+block has many cells over few counts gathers those terms from a table
+of rel_entr(k / t, v) over its range of totals t, the counts k drawn so
+far and its distinct conditionals v, while the table has at most one
+entry per ``_KL_TABLE_CELLS_PER_ENTRY`` of the block's cells; the
+table's arguments are the same int64 true divisions, so D keeps its
+bytes.  The identity
 is exact, the rounding is not the same, so engine losses equal
 ``kl_divergence`` of the library's estimate to within 1e-15 + 1e-12 *
 loss, not bitwise.  The absolute term is what counts at large n: the
@@ -81,7 +87,11 @@ recent n*, a pure function of the uniforms, so a prior and a pooled
 call at the same (n, n*) draw them once.  Each array is the one the
 block drew, marked read-only, 8 bytes per element.  A call with another
 key replaces the slot; a call whose entries could exceed
-``_MEMO_CAP_BYTES`` keeps nothing and releases it.  A hit returns
+``_MEMO_CAP_BYTES`` keeps nothing and releases it.  While a sample-size
+solve runs (:class:`SolveHold`), the slot of every key it simulates,
+the one in the slot when it starts included, is also held, within the
+same cap, so the solve draws each key at most once; when the solve
+returns, only the one slot of its last key remains.  A hit returns
 exactly what a fresh draw would, so results do not change.
 """
 
@@ -124,6 +134,11 @@ _CHUNK_BYTES = 2**18
 #: bytes of entries the memo of draws may hold; a key whose entries
 #: could hold more is not memoized
 _MEMO_CAP_BYTES = 64 * 2**20
+
+#: a group's second-stage KLs are gathered from a table of rel_entr(k / t, v)
+#: while the table has at most one entry per this many of the group's cells
+#: in the block
+_KL_TABLE_CELLS_PER_ENTRY = 8
 
 
 @dataclass(frozen=True)
@@ -346,7 +361,8 @@ class _Draws:
     second-stage KLs, discarded, prior uniforms, n*, prior counts), the
     prior counts those of the latest n* or None; it is replaced whole, so
     threads that share the object never see half of one.  With ``keep``
-    false nothing is stored and every block draws afresh.
+    false nothing is stored and every block draws afresh.  Each group's
+    distinct conditionals are found once, for the KL table of step 3.
     """
 
     def __init__(self, key: tuple, dq: DerivedQuantities, keep: bool = True) -> None:
@@ -356,6 +372,8 @@ class _Draws:
         self.keep = keep
         self.n_blocks = -(-self.config.replications // BLOCK_SIZE)
         self._entries: list[tuple | None] = [None] * self.n_blocks
+        # each group's distinct conditionals, and each cell's among them
+        self._distinct = [np.unique(c, return_inverse=True) for c in dq.conditionals]
 
     def block(self, b: int, n_star: int | None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
@@ -368,11 +386,32 @@ class _Draws:
             # D[x_i./t_i : p_i] per row and group; every t_i is at least 1
             d = np.empty(totals.shape, dtype=np.float64)
             for gi, conditionals in enumerate(self.dq.conditionals):
+                values, inv = self._distinct[gi]
+                t_lo, t_hi = int(totals[:, gi].min()), int(totals[:, gi].max())
+                T, V = t_hi - t_lo + 1, values.size
+                table, K = None, 0
                 step = max(1, _CHUNK_BYTES // (8 * conditionals.size))
                 for lo in range(0, rows, step):
                     t = totals[lo:lo + step, gi]
-                    within = gen.multinomial(t, conditionals) / t[:, None]
-                    d[lo:lo + step, gi] = np.sum(rel_entr(within, conditionals), axis=1)
+                    x = gen.multinomial(t, conditionals)
+                    top = int(x.max()) + 1
+                    if top > K:  # counts 0 .. K - 1, at most t_hi
+                        K, table = min(max(2 * K, top), t_hi + 1), None
+                        if T * K * V * _KL_TABLE_CELLS_PER_ENTRY <= rows * conditionals.size:
+                            k_over_t = np.arange(K) / np.arange(t_lo, t_hi + 1)[:, None]
+                            table = rel_entr(k_over_t[:, :, None], values).ravel()
+                    if table is None:
+                        kl = rel_entr(x / t[:, None], conditionals)
+                    else:
+                        # entry (t, k, v) is rel_entr(k / t, v): the same int64
+                        # true division and the same ufunc as the line above,
+                        # gathered into the same (rows, J) array, so D keeps
+                        # its bytes
+                        at = x * V
+                        at += inv
+                        at += ((t - t_lo) * (K * V))[:, None]
+                        kl = table.take(at)
+                    d[lo:lo + step, gi] = np.sum(kl, axis=1)
             u = gen.random((rows, self.dq.marginals.size - 1))
             totals.flags.writeable = d.flags.writeable = u.flags.writeable = False
             entry = (totals, d, discarded, u, None, None)
@@ -388,23 +427,68 @@ class _Draws:
 
 _memo: _Draws | None = None
 _memo_lock = threading.Lock()
+#: the solves open now, and the slots they hold, by key
+_holds = 0
+_held: dict[tuple, _Draws] = {}
+
+
+def _slot_bytes(key: tuple) -> int:
+    """Every array a slot's entries can hold: 8 * R * (4I - 1) bytes for R
+    replications and I groups."""
+    _, group_sizes, _, config = key
+    return 8 * config.replications * (4 * len(group_sizes) - 1)
+
+
+def _hold(draws: _Draws) -> None:
+    """Add ``draws`` to the open hold, which is first emptied when the
+    slots together would exceed the cap; called under ``_memo_lock``."""
+    nbytes = _slot_bytes(draws.key)
+    if draws.key in _held or nbytes > _MEMO_CAP_BYTES:
+        return
+    if nbytes + sum(map(_slot_bytes, _held)) > _MEMO_CAP_BYTES:
+        _held.clear()
+    _held[draws.key] = draws
 
 
 def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
-    """The memo slot for ``key``, made afresh when the key changes; when
-    every array its entries can hold, 8 * R * (4I - 1) bytes for R
-    replications and I groups, exceeds the cap, a slot that keeps
-    nothing, and the module slot is released."""
+    """The memo slot for ``key``: the held one or a new one when the key
+    changes, kept by an open hold too; when ``_slot_bytes`` exceeds the
+    cap, a slot that keeps nothing, and the module slot is released."""
     global _memo
-    _, group_sizes, _, config = key
-    nbytes = 8 * config.replications * (4 * len(group_sizes) - 1)
     with _memo_lock:
-        if nbytes > _MEMO_CAP_BYTES:
+        if _slot_bytes(key) > _MEMO_CAP_BYTES:
             _memo = None
             return _Draws(key, dq, keep=False)
         if _memo is None or _memo.key != key:
-            _memo = _Draws(key, dq)
+            _memo = _held.get(key) or _Draws(key, dq)
+        if _holds:
+            _hold(_memo)
         return _memo
+
+
+class SolveHold:
+    """While entered, every slot the memo makes or finds is also held, so
+    that a sample-size solve draws each of its keys at most once; the
+    slots held together stay within ``_MEMO_CAP_BYTES`` (past it the hold
+    starts again from the newest slot, and the memo works as with one
+    slot).  Nested and concurrent solves share one hold, released when
+    the last one leaves; the module slot ``_memo`` is then what it would
+    be without the hold.  Outside ``__all__``: only the sample-size
+    solver in :mod:`surveyrisk.planning` enters it."""
+
+    def __enter__(self) -> None:
+        global _holds
+        with _memo_lock:
+            _holds += 1
+            if _memo is not None:
+                _hold(_memo)
+
+    def __exit__(self, *exc: object) -> None:
+        global _holds
+        with _memo_lock:
+            _holds -= 1
+            if not _holds:
+                _held.clear()
 
 
 def _block_losses(

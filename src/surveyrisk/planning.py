@@ -88,7 +88,7 @@ from .model import (
     as_tuple,
     derive,
 )
-from .montecarlo import SimulationConfig, simulate_risk
+from .montecarlo import SimulationConfig, SolveHold, simulate_risk
 
 __all__ = [
     "RssKind",
@@ -230,7 +230,9 @@ def required_sample_size(
     the risk at x - 1 is above it: the smallest such size on the
     analytic curve, and a crossing of the probed curve for simulation.
     ``workers`` is forwarded to the simulation engine; it does not
-    change results.
+    change results.  A simulated solve holds the engine's draws of each
+    key it probes until it returns (:class:`montecarlo.SolveHold`), so
+    probes that share n, the target's included, draw their surveys once.
     """
     workers = as_int(workers, "workers")
     dq = derive(model)
@@ -266,13 +268,14 @@ def required_sample_size(
             raise Unattainable("bracketing exhausted; target out of reach")
         return a0
 
-    f_sim = curve(lambda kind, n, n_star: simulate_risk(
-        kind, model, n, n_star, query.config, workers).mean_loss)
     a0 = cap if a0 is None else a0
-    memo = {a0: f_sim(a0)}
-    offset = memo[a0] - f_app(a0)
-    a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
-    found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
+    with SolveHold():
+        f_sim = curve(lambda kind, n, n_star: simulate_risk(
+            kind, model, n, n_star, query.config, workers).mean_loss)
+        memo = {a0: f_sim(a0)}
+        offset = memo[a0] - f_app(a0)
+        a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
+        found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
     if found is None:
         raise SimulationNoise(
             "could not bracket the target at the configured replication "

@@ -13,6 +13,7 @@ from surveyrisk import (
     NotNormalized,
     ShapeError,
     SurveyCounts,
+    TwoStageModel,
     build_model,
     bundled_model,
     derive,
@@ -168,6 +169,10 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
      "estimate must be real numbers, got '0.5'"),
     (lambda: kl_divergence([0.5, 0.5], [b"0.5", 0.5]),
      "truth must be real numbers, got b'0.5'"),
+    (lambda: build_model([[10**400], [0.5]]),
+     "group 0 must be real numbers within the float range"),
+    (lambda: kl_divergence([10**400, 0.5], [0.5, 0.5]),
+     "estimate must be real numbers within the float range"),
 ], ids=["risk_app-model", "simulate_risk-name", "required_sample_size-derived",
         "discard_probability-derived", "chain_rule-derived", "estimate-tuple",
         "advise-tuple", "bundled_model-unknown", "chain_rule-tuple",
@@ -177,7 +182,7 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
         "advise-none", "build_model-none", "build_model-int-labels",
         "SurveyCounts-none", "SurveyCounts-flat", "ProbabilityEstimate-none",
         "bundled_model-list", "build_model-strings", "kl_divergence-strings",
-        "kl_divergence-bytes"])
+        "kl_divergence-bytes", "build_model-overflow", "kl_divergence-overflow"])
 def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
     """A model, derived quantities or counts of the wrong type, and an
     unknown bundled name, raise DomainError, a SurveyRiskError that names
@@ -185,6 +190,32 @@ def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
     with pytest.raises(DomainError, match=message) as caught:
         call()
     assert isinstance(caught.value, SurveyRiskError)
+
+
+_HALF = np.array([0.25, 0.25])
+
+
+@pytest.mark.parametrize("cells, error, message", [
+    ((), ShapeError, "need at least 2 groups, got 0"),
+    ((_HALF,), ShapeError, "need at least 2 groups, got 1"),
+    (None, DomainError, "model cells must be a sequence, got NoneType"),
+    ((None,) * 2, DomainError, "group 0 must be real numbers, got NoneType"),
+    ((_HALF, [0.25, 0.25]), DomainError, "group 1 must be real numbers, got list"),
+    ((_HALF, _HALF.astype(np.float32)), DomainError,
+     "group 1 must be real numbers, got float32"),
+    ((_HALF, np.array([0, 1])), DomainError, "group 1 must be real numbers, got int64"),
+    ((_HALF, _HALF.reshape(1, 2)), ShapeError,
+     "group 1 must be a nonempty vector of cells"),
+    ((_HALF, np.array(0.5)), ShapeError, "group 1 must be a nonempty vector of cells"),
+    ((_HALF, np.empty(0)), ShapeError, "group 1 must be a nonempty vector of cells"),
+], ids=["no-groups", "one-group", "none", "none-groups", "list-group",
+        "float32-group", "int-group", "2d-group", "0d-group", "empty-group"])
+def test_derive_checks_a_model_built_directly(cells, error, message):
+    """A TwoStageModel built without ``build_model`` is refused by
+    ``derive`` with ``build_model``'s exception class and wording, where it
+    returned p_total = -1 for no groups or raised AttributeError."""
+    with pytest.raises(error, match=message):
+        derive(TwoStageModel(labels=(), cells=cells))
 
 
 def test_derive_singleton_groups():

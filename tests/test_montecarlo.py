@@ -39,7 +39,7 @@ from surveyrisk import (
     risk_app,
     simulate_risk,
 )
-from surveyrisk import montecarlo
+from surveyrisk import montecarlo, planning
 from surveyrisk.montecarlo import _acceptance_bound, _binom_inverse
 from surveyrisk.planning import MAX_DOUBLINGS
 from helpers import (draw_totals_reference, gap, inverse_cell_sum,
@@ -1007,3 +1007,210 @@ def test_workers_and_memo_do_not_change_results_on_random_models(case):
             for _ in range(2):
                 got.append(simulate_risk(kind, model, n, n_star, cfg, workers))
         assert got[1:] == got[:1] * 3
+
+
+# ---------------------------------------------------------------------------
+# second-stage KLs from a rel_entr table
+# ---------------------------------------------------------------------------
+
+#: four groups of equal marginal, of 1, 5, 40 and 120 cells whose weights
+#: repeat (1, 2 or 3), so each wide group has a few distinct conditionals
+REPEATED = build_model([(w / w.sum()).tolist() for w in (
+    np.random.default_rng(5).choice([1.0, 2.0, 3.0], k) for k in (1, 5, 40, 120))],
+    renormalize=True)
+
+
+def _second_stage(monkeypatch, model, n, cells_per_entry, reps=BLOCK_SIZE + 3):
+    """Every block's totals and second-stage KLs, drawn afresh with the
+    table limit ``cells_per_entry``, and the first argument of each
+    ``montecarlo.rel_entr`` call made while drawing them."""
+    calls = []
+    original = montecarlo.rel_entr
+
+    def counted(x, y):
+        calls.append(np.asarray(x))
+        return original(x, y)
+
+    monkeypatch.setattr(montecarlo, "rel_entr", counted)
+    monkeypatch.setattr(montecarlo, "_KL_TABLE_CELLS_PER_ENTRY", cells_per_entry)
+    cfg = SimulationConfig(reps, seed=11)
+    key = (model.flat().tobytes(), model.group_sizes, n, cfg)
+    draws = montecarlo._Draws(key, derive(model), keep=False)
+    blocks = [draws.block(b, None)[:2] for b in range(draws.n_blocks)]
+    monkeypatch.setattr(montecarlo, "rel_entr", original)
+    return blocks, calls
+
+
+@pytest.mark.parametrize("model, n", [
+    (bundled_model("example1-uniform100x2"), 90),
+    (bundled_model("example1-uniform100x2"), 400),
+    (bundled_model("example3-household"), 90),
+    (bundled_model("example3-household"), 400),
+    (BREAST_CANCER, 60),
+    (REPEATED, 8),
+    (REPEATED, 300),
+], ids=["uniform-90", "uniform-400", "household-90", "household-400",
+        "breast-cancer-60", "repeated-8", "repeated-300"])
+@pytest.mark.parametrize("chunk_bytes", [None, 8], ids=["chunks", "row-chunks"])
+def test_second_stage_kls_from_the_table_equal_the_direct_formula(
+        model, n, chunk_bytes, monkeypatch):
+    """The KLs of every block are bitwise the same whether every chunk
+    takes the table (a limit of 0), none does (a limit no box meets) or
+    the default limit decides: one distinct conditional per group
+    (uniform) or several (household, and repeated weights beside a
+    one-cell group).  At n = 8 some rows have a group total of 1.  With
+    one row per chunk (on 300 rows) a later chunk's largest count exceeds
+    the table built so far, and the table is built again."""
+    reps = BLOCK_SIZE + 3
+    if chunk_bytes is not None:
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes)
+        reps = 300
+    direct, calls = _second_stage(monkeypatch, model, n, 2**62, reps)
+    assert all(x.ndim == 2 for x in calls)
+    table, calls = _second_stage(monkeypatch, model, n, 0, reps)
+    assert all(x.ndim == 3 for x in calls)
+    if chunk_bytes is not None:
+        assert len(calls) > model.n_groups * len(table)
+    default, _ = _second_stage(monkeypatch, model, n,
+                               montecarlo._KL_TABLE_CELLS_PER_ENTRY, reps)
+    for want, *got in zip(direct, table, default):
+        for totals, kls in got:
+            assert np.array_equal(totals, want[0])
+            assert np.array_equal(kls, want[1])
+    if n == 8:
+        assert (direct[0][0] == 1).any()
+
+
+def test_the_table_limit_is_exact(monkeypatch):
+    """A group's table of T totals by K counts by V distinct conditionals
+    is used while T * K * V * ``_KL_TABLE_CELLS_PER_ENTRY`` is at most the
+    group's cells in the block, rows * J; a limit one higher draws the
+    group's KLs directly, with the same bytes."""
+    model = build_model([[0.1] * 5, [0.25, 0.25]])
+    rows = 1000
+    _, calls = _second_stage(monkeypatch, model, 40, 0, reps=rows)
+    T, K, V = calls[0].shape[0], calls[0].shape[1], 1
+    limit = rows * 5 // (T * K * V)
+    assert limit >= 1
+    got = {}
+    for cells_per_entry, tabled in ((limit, True), (limit + 1, False)):
+        got[tabled], calls = _second_stage(monkeypatch, model, 40, cells_per_entry,
+                                           reps=rows)
+        assert (calls[0].shape == (T, K, V)) is tabled
+        assert any(x.shape == (rows, 5) for x in calls) is not tabled
+    assert np.array_equal(got[True][0][1], got[False][0][1])
+
+
+@pytest.mark.parametrize("name, n, tabled", [
+    ("example1-uniform100x2", 90, True),
+    ("example1-uniform100x2", 400, True),
+    ("example2-breast-cancer", 3000, False),
+], ids=["uniform-90", "uniform-400", "breast-cancer-3000"])
+def test_many_cell_groups_take_the_table(monkeypatch, name, n, tabled):
+    """At the default limit, a uniform 2x100 block calls ``rel_entr`` on
+    at most an eighth of its cells, counted through a stand-in for
+    ``montecarlo.rel_entr`` as the benchmark's tracer counts them, while
+    breast-cancer at n = 3000, whose few cells spread over hundreds of
+    counts, evaluates every cell."""
+    model = bundled_model(name)
+    _, calls = _second_stage(monkeypatch, model, n, montecarlo._KL_TABLE_CELLS_PER_ENTRY,
+                             reps=BLOCK_SIZE)
+    cells = BLOCK_SIZE * model.total_cells
+    elements = sum(x.size for x in calls)
+    if tabled:
+        assert elements <= cells / montecarlo._KL_TABLE_CELLS_PER_ENTRY
+    else:
+        assert elements == cells
+
+
+# ---------------------------------------------------------------------------
+# a sample-size solve holds its draws
+# ---------------------------------------------------------------------------
+
+UNIFORM = bundled_model("example1-uniform100x2")
+RSS_QUERY = RssQuery(RssKind.PRESENT_TO_POOLED, 400, 400, method="sim",
+                     config=SimulationConfig(BLOCK_SIZE, seed=0))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Counts the block generators the engine makes, by (seed, block), and
+    the simulate_risk calls of the solver, by (kind, n, n*); the memo
+    starts empty."""
+    made, probes = {}, []
+    make = montecarlo._block_generator
+    simulate = planning.simulate_risk
+
+    def counted(seed, b):
+        made[seed, b] = made.get((seed, b), 0) + 1
+        return make(seed, b)
+
+    def probe(kind, model, n, n_star, *args):
+        probes.append((kind, n, n_star))
+        return simulate(kind, model, n, n_star, *args)
+
+    monkeypatch.setattr(montecarlo, "_block_generator", counted)
+    monkeypatch.setattr(planning, "simulate_risk", probe)
+    monkeypatch.setattr(montecarlo, "_memo", None)
+    return made, probes
+
+
+def test_a_solve_draws_each_key_once(generators):
+    """The present-vs-pooled solve on the uniform model at (400, 400)
+    probes the pooled target and present n = 401 and 400, whose present
+    surveys are those of the target: it draws them once.  Afterwards the
+    memo is the last key's one slot and nothing is held."""
+    made, probes = generators
+    assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert probes == [(EstimatorKind.POOLED, 400, 400),
+                      (EstimatorKind.PRESENT, 401, None),
+                      (EstimatorKind.PRESENT, 400, None)]
+    assert made == {(0, 0): 2}
+    assert montecarlo._memo.key == (UNIFORM.flat().tobytes(), UNIFORM.group_sizes,
+                                    400, RSS_QUERY.config)
+    assert montecarlo._holds == 0 and montecarlo._held == {}
+
+
+def test_a_solve_holds_the_slot_it_starts_with(generators):
+    """A slot filled before the solve, at the key of its second probe
+    (n = 401), is held too, though the target replaces it in the memo:
+    the solve then draws only n = 400."""
+    made, probes = generators
+    simulate_risk(EstimatorKind.PRESENT, UNIFORM, 401, None, RSS_QUERY.config)
+    made.clear()
+    assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert made == {(0, 0): 1}
+    assert montecarlo._held == {}
+
+
+def test_nested_solves_share_one_hold(generators):
+    """An outer hold keeps the solve's slots until it is left."""
+    made, _ = generators
+    with montecarlo.SolveHold():
+        assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+        assert len(montecarlo._held) == 2
+        assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert made == {(0, 0): 2}
+    assert montecarlo._holds == 0 and montecarlo._held == {}
+
+
+def test_a_hold_past_the_cap_keeps_no_extra_keys(generators, monkeypatch):
+    """Under a cap of one key's bytes the solve holds one slot at a time
+    and draws n = 400 twice, as the one-slot memo does, with the same
+    answer."""
+    made, probes = generators
+    nbytes = 8 * BLOCK_SIZE * (4 * UNIFORM.n_groups - 1)
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes)
+    held = []
+    simulate = planning.simulate_risk
+
+    def watched(*args):
+        result = simulate(*args)
+        held.append(len(montecarlo._held))
+        return result
+
+    monkeypatch.setattr(planning, "simulate_risk", watched)
+    assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert held == [1, 1, 1]
+    assert made == {(0, 0): 3}
+    assert montecarlo._held == {}
