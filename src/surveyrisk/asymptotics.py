@@ -42,6 +42,7 @@ so published six-digit values reproduce deterministically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,8 +81,9 @@ def risk_app(
     risk as the prior survey grows without bound: the within-group floor
     that no prior survey can lower.  Otherwise sizes are integers >= 1
     (numpy integers work).  ``n_star`` is ignored for the present estimator.
-    A ``kind`` that is not an EstimatorKind member, or a ``dq`` that is
-    not a DerivedQuantities, raises DomainError.
+    A ``kind`` that is not an EstimatorKind member, a ``dq`` that is not
+    a DerivedQuantities, n + n* past the float range, or a risk past it
+    raises DomainError.
     """
     if not isinstance(dq, DerivedQuantities):
         raise DomainError("dq must be the DerivedQuantities of derive(model), "
@@ -90,6 +92,8 @@ def risk_app(
         n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")
     N = kind.first_stage(n, n_star)
+    if N != math.inf and N > sys.float_info.max:
+        raise DomainError("n + n* must be within the float range")
     # the prior survey's share of N; 1 in the n* = inf limit
     w = 1.0 if N == math.inf else kind.first_stage(0, n_star) / N
     if kind is EstimatorKind.PRESENT:
@@ -97,10 +101,16 @@ def risk_app(
         first = dq.p_total / (2.0 * n)
     else:
         first = (dq.marginals.size - 1) / (2.0 * N) + float(dq.s.sum()) / (2.0 * n)
-    second = (dq.M_f - 1.0) / (12.0 * N * N) + math.fsum(
-        (a + 12.0 * (1.0 - m) * s * w) / m
-        for a, m, s in zip(dq.A.tolist(), dq.marginals.tolist(), dq.s.tolist())
-    ) / (24.0 * n * n)
+    try:
+        second = (dq.M_f - 1.0) / (12.0 * N * N) + math.fsum(
+            (a + 12.0 * (1.0 - m) * s * w) / m
+            for a, m, s in zip(dq.A.tolist(), dq.marginals.tolist(), dq.s.tolist())
+        ) / (24.0 * n * n)
+    except OverflowError:
+        second = math.inf
+    if not math.isfinite(second):
+        raise DomainError("the risk expansion passes the float range; the "
+                          "model's smallest cells are too small")
     return RiskApproximation(
         first_order=first,
         second_order=second,

@@ -55,7 +55,8 @@ class ProbabilityEstimate:
             if np.any(g < 0.0) or not np.all(np.isfinite(g)):
                 raise DomainError(f"estimate group {i} has a negative or "
                                   f"non-finite entry")
-        total = float(np.sum(self.flat()))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            total = float(np.sum(self.flat()))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"estimate sums to {total!r}")
 
@@ -96,7 +97,8 @@ def kl_divergence(estimate, truth) -> float:
         raise ZeroTruth("truth must be strictly positive and finite")
     if np.any(e < 0.0) or not np.all(np.isfinite(e)):
         raise DomainError("estimate entries must be nonnegative and finite")
-    se, st = float(np.sum(e)), float(np.sum(t))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        se, st = float(np.sum(e)), float(np.sum(t))
     if abs(se - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"estimate sums to {se!r}")
     if abs(st - 1.0) > NORMALIZATION_TOL:

@@ -20,8 +20,9 @@ here:
                                         i-th within-group MLE risk (full
                                         second-stage model)
 
-All probabilities must be strictly positive: the risk formulas contain
-1/m_ij terms and the KL loss is undefined against a zero truth.
+All probabilities must be strictly positive and not subnormal: the risk
+formulas contain 1/m_ij terms and the KL loss is undefined against a
+zero truth.
 
 Construction validates once; instances are frozen and their array fields
 are marked read-only, so they can be shared freely across threads.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Sequence
 
@@ -114,6 +116,23 @@ class DerivedQuantities:
     M_f: float
     A: np.ndarray
 
+    def __post_init__(self) -> None:
+        """For an instance built directly, DomainError unless, as
+        :func:`derive` gives them, there are I >= 2 marginals, each finite
+        and at least the least normal float, I conditionals, I dimensions
+        s >= 0 with p_total = I - 1 + sum(s), and finite M_f and A; O(I)."""
+        try:
+            m, s, A = self.marginals.tolist(), self.s.tolist(), self.A.tolist()
+            fits = (2 <= len(m) == len(s) == len(A) == len(self.conditionals)
+                    and self.p_total == len(m) - 1 + sum(s) and min(s) >= 0
+                    and min(m) >= sys.float_info.min
+                    and all(map(math.isfinite, [*m, *A, self.M_f])))
+        except (AttributeError, TypeError, ValueError):
+            fits = False
+        if not fits:
+            raise DomainError("a DerivedQuantities needs the fields that "
+                              "derive(model) gives it")
+
 
 def as_int(x: object, what: str, least: int = 1) -> int:
     """``x`` as a Python int if it is an integer >= ``least``, else DomainError.
@@ -121,6 +140,7 @@ def as_int(x: object, what: str, least: int = 1) -> int:
     The one rule for every caller-supplied size, count, replication
     number, seed and worker count: numpy integers are accepted, while a
     fractional value is refused rather than truncated, and so is ``bool``.
+    As in :func:`as_floats`, an integer too large for a float is refused.
     """
     try:
         value = None if isinstance(x, bool) else operator.index(x)
@@ -128,6 +148,8 @@ def as_int(x: object, what: str, least: int = 1) -> int:
         value = None
     if value is None or value < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
+    if value > sys.float_info.max:
+        raise DomainError(f"{what} must be an integer within the float range")
     return value
 
 
@@ -160,6 +182,17 @@ def as_floats(x: object, what: str) -> np.ndarray:
     except OverflowError:
         raise DomainError(f"{what} must be real numbers within the float "
                           f"range") from None
+
+
+def check_normal(values: object, what: str) -> None:
+    """DomainError unless every value is finite and at least the least normal
+    float: the rule for the probabilities the risk formulas divide by."""
+    values = np.asarray(values, dtype=np.float64)
+    lo, hi = float(values.min()), float(values.max())  # NaN if any is NaN
+    if not sys.float_info.min <= lo <= hi <= sys.float_info.max:
+        raise DomainError(f"{what} must be finite and at least the least normal "
+                          f"float {sys.float_info.min!r}, got values from "
+                          f"{lo!r} to {hi!r}")
 
 
 class CheckedEnum(enum.Enum):
@@ -240,7 +273,8 @@ def build_model(
     ``raw_cells`` is one sequence of positive reals per group (groups may
     have different lengths).  With ``renormalize`` set, every cell is
     divided by the grand total; otherwise the grand total must already be
-    within ``NORMALIZATION_TOL`` of 1.
+    within ``NORMALIZATION_TOL`` of 1.  The cells, and the renormalized
+    ones, must pass :func:`check_normal`.
     """
     groups = [as_floats(g, f"group {i}")
               for i, g in enumerate(as_tuple(raw_cells, "raw_cells"))]
@@ -256,10 +290,15 @@ def build_model(
             raise NonPositiveCell(
                 f"cell ({i}, {j}) is {g[j]!r}; every cell must be positive"
             )
-
-    total = math.fsum(float(x) for g in groups for x in g)
+    flat = np.concatenate(groups)
+    check_normal(flat, "cells")
+    try:
+        total = math.fsum(flat.tolist())
+    except OverflowError:
+        raise DomainError("cells sum past the float range") from None
     if renormalize:
         groups = [g / total for g in groups]
+        check_normal(flat / total, "renormalized cells")
     elif abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(
             f"cells sum to {total!r}; pass renormalize=True or fix the input"
@@ -286,7 +325,7 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
     if not isinstance(model, TwoStageModel):
         raise DomainError(f"model must be a TwoStageModel, got {type(model).__name__}")
     # a model built directly has skipped build_model: check its layout
-    # with build_model's words, in O(I)
+    # with build_model's words, in O(I), and then its cells
     cells = as_tuple(model.cells, "model cells")
     if len(cells) < 2:
         raise ShapeError(f"need at least 2 groups, got {len(cells)}")
@@ -296,20 +335,26 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
             raise DomainError(f"group {i} must be real numbers, got {got}")
         if g.ndim != 1 or g.size < 1:
             raise ShapeError(f"group {i} must be a nonempty vector of cells")
+    check_normal(np.concatenate(cells), "model cells")
     marginals = np.array([math.fsum(g.tolist()) for g in cells])
     conditionals = tuple(_readonly(g / m) for g, m in zip(cells, marginals))
     sizes = np.array([g.size for g in cells], dtype=np.int64)
     s = sizes - 1
     p_total = int(sizes.sum()) - 1
-    M_f = math.fsum(1.0 / m for m in marginals.tolist())
-    A = np.array(
-        [2.0 * math.fsum(1.0 / p for p in c.tolist()) - 2.0 for c in conditionals]
-    )
+    try:
+        M_f = math.fsum(1.0 / m for m in marginals.tolist())
+        A = [2.0 * math.fsum(1.0 / p for p in c.tolist()) - 2.0 for c in conditionals]
+        finite = all(map(math.isfinite, [M_f, *A]))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError("the model's reciprocal cell sums M_f and A_i pass "
+                          "the float range; its smallest cells are too small")
     return DerivedQuantities(
         marginals=_readonly(marginals),
         conditionals=conditionals,
         s=_readonly(s),
         p_total=p_total,
         M_f=M_f,
-        A=_readonly(A),
+        A=_readonly(np.array(A)),
     )

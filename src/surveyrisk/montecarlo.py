@@ -78,27 +78,18 @@ while the loss shrinks like 1/n.
 
 Memo of draws.  A block's present surveys and prior uniforms depend
 only on (model cells, group sizes, n, seed, replications), never on the
-kind, n* or ``workers``.  The module keeps one slot under that key, an
-object that draws its own blocks and keeps one entry per block: the
-totals, the second-stage KLs D (a block's cells are never held whole:
-each chunk is reduced to D as it is drawn), the discard count, the
-(rows, I-1) prior uniforms of step 4, and the prior counts of the most
-recent n*, a pure function of the uniforms, so a prior and a pooled
-call at the same (n, n*) draw them once.  Each array is the one the
-block drew, marked read-only, 8 bytes per element.  A call with another
-key replaces the slot; a call whose entries could exceed
-``_MEMO_CAP_BYTES`` keeps nothing and releases it.  While a sample-size
-solve runs (:class:`SolveHold`), the slot of every key it simulates,
-the one in the slot when it starts included, is also held, within the
-same cap, so the solve draws each key at most once; when the solve
-returns, only the one slot of its last key remains.  A hit returns
-exactly what a fresh draw would, so results do not change.
+kind, n* or ``workers``.  The module keeps one slot (:class:`_Draws`) per
+such key, least recently used first, and drops the oldest while the slots
+together could exceed ``_MEMO_CAP_BYTES``; a key whose slot alone could
+exceed it is kept nowhere.  A hit returns exactly what a fresh draw
+would, so results do not change.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -357,16 +348,17 @@ def _draw_prior(u: np.ndarray, marginals: np.ndarray, n_star: int) -> np.ndarray
 
 class _Draws:
     """The draws of one key (model cells, group sizes, n, config), made
-    block by block on demand.  Block b keeps one read-only entry (totals,
-    second-stage KLs, discarded, prior uniforms, n*, prior counts), the
-    prior counts those of the latest n* or None; it is replaced whole, so
-    threads that share the object never see half of one.  With ``keep``
-    false nothing is stored and every block draws afresh.  Each group's
-    distinct conditionals are found once, for the KL table of step 3.
+    block by block on demand.  Block b keeps one entry (totals,
+    second-stage KLs, discarded, prior uniforms, n*, prior counts), each
+    array the one the block drew, marked read-only; the prior counts are
+    those of the latest n*, so a prior and a pooled call at one (n, n*)
+    draw them once.  An entry is replaced whole, so threads that share
+    the object never see half of one.  With ``keep`` false nothing is
+    stored and every block draws afresh.  Each group's distinct
+    conditionals are found once, for the KL table of step 3.
     """
 
     def __init__(self, key: tuple, dq: DerivedQuantities, keep: bool = True) -> None:
-        self.key = key
         _, _, self.n, self.config = key
         self.dq = dq
         self.keep = keep
@@ -425,70 +417,36 @@ class _Draws:
         return totals, d, discarded, None if n_star is None else xstar
 
 
-_memo: _Draws | None = None
+#: the memo of draws: one slot per key, least recently used first
+_memo: OrderedDict[tuple, _Draws] = OrderedDict()
 _memo_lock = threading.Lock()
-#: the solves open now, and the slots they hold, by key
-_holds = 0
-_held: dict[tuple, _Draws] = {}
 
 
 def _slot_bytes(key: tuple) -> int:
-    """Every array a slot's entries can hold: 8 * R * (4I - 1) bytes for R
-    replications and I groups."""
-    _, group_sizes, _, config = key
-    return 8 * config.replications * (4 * len(group_sizes) - 1)
-
-
-def _hold(draws: _Draws) -> None:
-    """Add ``draws`` to the open hold, which is first emptied when the
-    slots together would exceed the cap; called under ``_memo_lock``."""
-    nbytes = _slot_bytes(draws.key)
-    if draws.key in _held or nbytes > _MEMO_CAP_BYTES:
-        return
-    if nbytes + sum(map(_slot_bytes, _held)) > _MEMO_CAP_BYTES:
-        _held.clear()
-    _held[draws.key] = draws
+    """Every array a slot can hold: 8 * R * (4I - 1) bytes of entries for
+    I groups and R replications rounded up to whole blocks, and 32 bytes
+    per cell for the key's cells, the conditionals and their distinct
+    values and indices.  The rounding keeps the slots few, so that what
+    each one holds besides its arrays stays small next to the cap."""
+    cells, group_sizes, _, config = key
+    rows = -(-config.replications // BLOCK_SIZE) * BLOCK_SIZE
+    return 8 * rows * (4 * len(group_sizes) - 1) + 4 * len(cells)
 
 
 def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
-    """The memo slot for ``key``: the held one or a new one when the key
-    changes, kept by an open hold too; when ``_slot_bytes`` exceeds the
-    cap, a slot that keeps nothing, and the module slot is released."""
-    global _memo
+    """The memo's slot for ``key``, found or made, now the most recently
+    used; the least recently used slots are dropped while the slots
+    together could exceed ``_MEMO_CAP_BYTES``.  A key whose slot alone
+    could exceed it gets a slot that keeps nothing, outside the memo."""
+    nbytes = _slot_bytes(key)
+    if nbytes > _MEMO_CAP_BYTES:
+        return _Draws(key, dq, keep=False)
     with _memo_lock:
-        if _slot_bytes(key) > _MEMO_CAP_BYTES:
-            _memo = None
-            return _Draws(key, dq, keep=False)
-        if _memo is None or _memo.key != key:
-            _memo = _held.get(key) or _Draws(key, dq)
-        if _holds:
-            _hold(_memo)
-        return _memo
-
-
-class SolveHold:
-    """While entered, every slot the memo makes or finds is also held, so
-    that a sample-size solve draws each of its keys at most once; the
-    slots held together stay within ``_MEMO_CAP_BYTES`` (past it the hold
-    starts again from the newest slot, and the memo works as with one
-    slot).  Nested and concurrent solves share one hold, released when
-    the last one leaves; the module slot ``_memo`` is then what it would
-    be without the hold.  Outside ``__all__``: only the sample-size
-    solver in :mod:`surveyrisk.planning` enters it."""
-
-    def __enter__(self) -> None:
-        global _holds
-        with _memo_lock:
-            _holds += 1
-            if _memo is not None:
-                _hold(_memo)
-
-    def __exit__(self, *exc: object) -> None:
-        global _holds
-        with _memo_lock:
-            _holds -= 1
-            if not _holds:
-                _held.clear()
+        draws = _memo.pop(key, None) or _Draws(key, dq)
+        while nbytes + sum(map(_slot_bytes, _memo)) > _MEMO_CAP_BYTES:
+            _memo.popitem(last=False)
+        _memo[key] = draws
+        return draws
 
 
 def _block_losses(

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,9 +87,10 @@ from .model import (
     TwoStageModel,
     as_int,
     as_tuple,
+    check_normal,
     derive,
 )
-from .montecarlo import SimulationConfig, SolveHold, simulate_risk
+from .montecarlo import SimulationConfig, simulate_risk
 
 __all__ = [
     "RssKind",
@@ -230,9 +232,7 @@ def required_sample_size(
     the risk at x - 1 is above it: the smallest such size on the
     analytic curve, and a crossing of the probed curve for simulation.
     ``workers`` is forwarded to the simulation engine; it does not
-    change results.  A simulated solve holds the engine's draws of each
-    key it probes until it returns (:class:`montecarlo.SolveHold`), so
-    probes that share n, the target's included, draw their surveys once.
+    change results.
     """
     workers = as_int(workers, "workers")
     dq = derive(model)
@@ -269,13 +269,12 @@ def required_sample_size(
         return a0
 
     a0 = cap if a0 is None else a0
-    with SolveHold():
-        f_sim = curve(lambda kind, n, n_star: simulate_risk(
-            kind, model, n, n_star, query.config, workers).mean_loss)
-        memo = {a0: f_sim(a0)}
-        offset = memo[a0] - f_app(a0)
-        a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
-        found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
+    f_sim = curve(lambda kind, n, n_star: simulate_risk(
+        kind, model, n, n_star, query.config, workers).mean_loss)
+    memo = {a0: f_sim(a0)}
+    offset = memo[a0] - f_app(a0)
+    a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
+    found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
     if found is None:
         raise SimulationNoise(
             "could not bracket the target at the configured replication "
@@ -309,7 +308,8 @@ def advise_from_marginals(
 
     All inputs of the gap statistic (I, s_i, M_f and the marginals) are
     recomputed from what is passed here; nothing else is consulted.  The
-    marginals must be positive and sum to 1 within NORMALIZATION_TOL.
+    marginals must be positive, not subnormal, and sum to 1 within
+    NORMALIZATION_TOL; a statistic that overflows raises DomainError.
     """
     _check_stage(stage)
     n, n_star = as_int(n, "n"), as_int(n_star, "n_star")
@@ -325,20 +325,31 @@ def advise_from_marginals(
         if not isinstance(m, numbers.Real):
             raise DomainError(f"plug-in marginal for group {i} is {m!r}, "
                               f"not a real number")
-        if not math.isfinite(m):
+        # an exact comparison: an integer past the float range is refused too
+        if not abs(m) <= sys.float_info.max:
             raise DomainError(f"plug-in marginal for group {i} is {m!r}, not finite")
         if m <= 0.0:
             raise ZeroGroupCount(
                 f"plug-in marginal for group {i} is {m!r}; cannot evaluate "
                 f"the decision statistic"
             )
-    total = math.fsum(marginals)
+    check_normal(marginals, "plug-in marginals")
+    try:
+        total = math.fsum(marginals)
+    except OverflowError:
+        total = math.inf
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"plug-in marginals sum to {total!r}, not 1")
     s = [j - 1 for j in _layout(group_sizes)]
     if any(x < 0 for x in s):
         raise ShapeError("every group needs at least one cell")
-    stat = gap_first_stage(EstimatorKind.POOLED, s, list(marginals), n, n_star)
+    try:
+        stat = gap_first_stage(EstimatorKind.POOLED, s, list(marginals), n, n_star)
+    except OverflowError:  # a sum or a size past the float range
+        stat = math.nan
+    if not math.isfinite(stat):
+        raise DomainError("the decision statistic overflows at these plug-in "
+                          "marginals and sizes")
     if stage is AdviceContext.POST_SURVEY:
         decision = Decision.USE_POOLED if stat >= 0.0 else Decision.USE_PRESENT_ONLY
     else:

@@ -376,7 +376,7 @@ def test_simulated_values_are_pinned_bitwise():
     cold, warm = {}, {}
     for key in SIMULATED:
         name, kind, n, n_star, reps, seed = key
-        montecarlo._memo = None
+        montecarlo._memo.clear()
         cold[key] = _simulate(*key)
         _simulate(name, _SIBLING[kind], n, n_star or 300, reps, seed)
         warm[key] = _simulate(*key)

@@ -19,6 +19,7 @@ from surveyrisk import (
     derive,
 )
 from surveyrisk import (
+    DerivedQuantities,
     EstimatorKind,
     ProbabilityEstimate,
     RssKind,
@@ -190,6 +191,67 @@ def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
     with pytest.raises(DomainError, match=message) as caught:
         call()
     assert isinstance(caught.value, SurveyRiskError)
+
+
+#: six plug-in marginals whose reciprocals, each normal, sum past the
+#: float range
+_TINY_MARGINALS = [3e-308] * 6 + [1.0 - 1.8e-307]
+#: normal cells whose reciprocals sum past the float range within group 0
+_OVERFLOWING_A = [[3e-308] * 6 + [0.5 - 1.8e-307], [0.5]]
+#: a finite A_0 of 1.3e308 that the expansion's division by m_0 = 0.5 takes
+#: past the float range
+_OVERFLOWING_RISK = [[2.3e-308] * 3 + [0.5 - 6.9e-308], [0.5]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_model([[1e-320, 1.0], [1.0]], renormalize=True),
+     "^cells must be finite and at least the least normal float "
+     "2.2250738585072014e-308, got values from 1e-320 to 1.0"),
+    (lambda: build_model([[1e308, 1e-300], [1.0]], renormalize=True),
+     "renormalized cells .*, got values from 0.0 to"),
+    (lambda: build_model([[1e308, 1e308], [1.0]], renormalize=True),
+     "cells sum past the float range"),
+    (lambda: derive(TwoStageModel(labels=("a", "b"), cells=(
+        np.array([5e-324, 0.5]), np.array([0.5])))), "model cells .*from 5e-324 to 0.5"),
+    (lambda: advise_from_marginals((1, 1), [1e-320, 1.0], 200, 600),
+     "plug-in marginals .*from 1e-320 to 1.0"),
+    (lambda: advise_from_marginals((2,) * 7, _TINY_MARGINALS, 200, 600),
+     "the decision statistic overflows"),
+    (lambda: advise_from_marginals((1, 1), [10**400, 1.0], 200, 600),
+     "group 0 is 1000.*, not finite"),
+    (lambda: derive(build_model(_OVERFLOWING_A)), "reciprocal cell sums"),
+    (lambda: risk_app(EstimatorKind.PRESENT, derive(build_model(_OVERFLOWING_RISK)),
+                      100), "the risk expansion passes the float range"),
+    (lambda: required_sample_size(RssQuery(RssKind.PRESENT_TO_POOLED, 100, 100),
+                                  build_model(_OVERFLOWING_RISK)),
+     "the risk expansion passes the float range"),
+    (lambda: risk_app(EstimatorKind.PRESENT,
+                      DerivedQuantities(None, None, None, None, None, None), 100),
+     "a DerivedQuantities needs the fields that derive"),
+    (lambda: risk_app(EstimatorKind.PRESENT, derive(_BREAST_CANCER), 10**400),
+     "n must be an integer within the float range"),
+    (lambda: risk_app(EstimatorKind.POOLED, derive(_BREAST_CANCER), 10**308, 10**308),
+     r"n \+ n\* must be within the float range"),
+], ids=["build_model-subnormal", "build_model-underflow", "build_model-sum-overflow",
+        "derive-subnormal", "advise_from_marginals-subnormal",
+        "advise_from_marginals-overflow", "advise_from_marginals-huge-int",
+        "derive-overflow", "risk_app-overflow", "required_sample_size-overflow",
+        "risk_app-hollow", "risk_app-huge-n", "risk_app-sizes-past-float-range"])
+def test_float_range_edges_raise_domain_error(call, message):
+    """Subnormal cells and marginals, sums, coefficients, risks, statistics
+    and sizes past the float range, and derived quantities built directly
+    raise DomainError where they enter, not a builtin error, an infinite
+    risk, a sample size solved on one, or a decision on a NaN statistic."""
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_an_overflowing_sum_is_not_normalized_without_a_warning():
+    """numpy's overflow warning is an error under the test settings."""
+    with pytest.raises(NotNormalized, match="estimate sums to inf"):
+        kl_divergence([1e308, 1e308], [0.5, 0.5])
+    with pytest.raises(NotNormalized, match="estimate sums to inf"):
+        ProbabilityEstimate([[1e308, 1e308], [1.0]])
 
 
 _HALF = np.array([0.25, 0.25])

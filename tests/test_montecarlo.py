@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -174,7 +176,7 @@ _THIRDS = [[1 / 3], [1 / 3], [1 / 3]]
 def test_rejection_budget_is_enforced(cells, n, budget, reps, message,
                                       monkeypatch):
     cfg = SimulationConfig(replications=reps, seed=1)
-    monkeypatch.setattr(montecarlo, "_memo", None)
+    monkeypatch.setattr(montecarlo, "_memo", OrderedDict())
     monkeypatch.setattr(montecarlo, "_MAX_REJECTIONS", budget)
     with pytest.raises(RejectionBudgetExceeded, match=message):
         simulate_risk(EstimatorKind.PRESENT, build_model(cells), n, None, cfg)
@@ -733,7 +735,16 @@ MEMO_REPS = 3 * BLOCK_SIZE + 123
 
 
 def _forget_draws() -> None:
-    montecarlo._memo = None
+    montecarlo._memo.clear()
+
+
+def _newest():
+    """The memo's most recently used slot."""
+    return next(reversed(montecarlo._memo.values()))
+
+
+def _key(model, n, config):
+    return (model.flat().tobytes(), model.group_sizes, n, config)
 
 
 @pytest.fixture
@@ -747,7 +758,7 @@ def present_draws(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "_draw_totals", counted)
-    monkeypatch.setattr(montecarlo, "_memo", None)
+    monkeypatch.setattr(montecarlo, "_memo", OrderedDict())
     return calls
 
 
@@ -785,7 +796,8 @@ def test_memo_hit_equals_a_fresh_draw(present_draws):
 def test_changing_any_memo_key_field_draws_afresh(present_draws):
     """A model with one cell changed (the same marginals, or the same
     cells in other groups), another seed, replication count or n each
-    draw new surveys, and return what they return on an empty memo."""
+    draw new surveys into a slot of their own beside the base key's, and
+    return what they return on an empty memo."""
     base = build_model([[0.25, 0.25], [0.25, 0.25]])
     cfg = SimulationConfig(replications=5000, seed=3)
     variants = [
@@ -799,37 +811,48 @@ def test_changing_any_memo_key_field_draws_afresh(present_draws):
         for model, n, config in variants:
             _forget_draws()
             want = simulate_risk(kind, model, n, 40, config)
+            _forget_draws()
             simulate_risk(kind, base, 25, 40, cfg)
             present_draws.clear()
             assert simulate_risk(kind, model, n, 40, config) == want
             assert len(present_draws) == 2
+            assert list(montecarlo._memo) == [_key(base, 25, cfg),
+                                              _key(model, n, config)]
 
 
 def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
+    """A key whose slot alone exceeds the cap draws every block afresh,
+    with the same result, and neither enters the memo nor empties it."""
     cfg = SimulationConfig(replications=MEMO_REPS, seed=9)
-    want = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg)
-    assert montecarlo._memo is not None
-    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", 0)
+    big = SimulationConfig(replications=MEMO_REPS + BLOCK_SIZE, seed=9)
+    want = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, big)
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES",
+                        montecarlo._slot_bytes(_key(UNIFORM_2X2, 25, cfg)))
+    _forget_draws()
+    simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg)
     present_draws.clear()
     for workers in (1, 2):
-        assert simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg,
+        assert simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, big,
                              workers) == want
-        assert montecarlo._memo is None
-    assert len(present_draws) == 8
+        assert list(montecarlo._memo) == [_key(UNIFORM_2X2, 25, cfg)]
+    assert len(present_draws) == 10
 
 
 def test_memo_entries_are_read_only_and_the_cap_sees_their_size(
         present_draws, monkeypatch):
     """Each array an entry stores, prior uniforms included, is the one the
-    block drew, marked read-only, and the cap compares exactly the bytes
-    those arrays hold.  Whichever kind calls first, a cap of those bytes
+    block drew, marked read-only.  The cap counts those arrays' bytes with
+    the replications rounded up to whole blocks, plus 32 bytes per cell,
+    which cover the key's cells, the conditionals and their distinct
+    values and indices.  Whichever kind calls first, a cap of that count
     keeps the slot for all three kinds, and one byte less keeps it for
     none: each call then draws the present surveys again."""
     cfg = SimulationConfig(BLOCK_SIZE + 1, seed=5)
     want = {kind: simulate_risk(kind, BREAST_CANCER, 60, 300, cfg)
             for kind in EstimatorKind}
+    key, draws = next(reversed(montecarlo._memo.items()))
     nbytes = 0
-    for entry in montecarlo._memo._entries:
+    for entry in draws._entries:
         arrays = [a for a in entry if isinstance(a, np.ndarray)]
         assert len(arrays) == 4
         for array in arrays:
@@ -837,15 +860,20 @@ def test_memo_entries_are_read_only_and_the_cap_sees_their_size(
             with pytest.raises(ValueError):
                 array[0, 0] = 0
             nbytes += array.nbytes
-    assert nbytes == 8 * cfg.replications * (4 * BREAST_CANCER.n_groups - 1)
-    for cap, kept in ((nbytes, True), (nbytes - 1, False)):
+    groups, cells = BREAST_CANCER.n_groups, BREAST_CANCER.total_cells
+    assert nbytes == 8 * cfg.replications * (4 * groups - 1)
+    per_cell = [*draws.dq.conditionals, *(a for pair in draws._distinct for a in pair)]
+    assert len(key[0]) + sum(a.nbytes for a in per_cell) <= 32 * cells
+    slot = montecarlo._slot_bytes(key)
+    assert slot == 8 * 2 * BLOCK_SIZE * (4 * groups - 1) + 32 * cells
+    for cap, kept in ((slot, True), (slot - 1, False)):
         monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", cap)
         for first in EstimatorKind:
             _forget_draws()
             present_draws.clear()
             for kind in (first, *(k for k in EstimatorKind if k is not first)):
                 assert simulate_risk(kind, BREAST_CANCER, 60, 300, cfg) == want[kind]
-                assert (montecarlo._memo is not None) is kept
+                assert len(montecarlo._memo) == kept
             assert len(present_draws) == (2 if kept else 6)
 
 
@@ -908,7 +936,7 @@ def _check_engine_losses(model, n, discards):
         n_star = None if kind is EstimatorKind.PRESENT else 600
         _forget_draws()
         r = simulate_risk(kind, model, n, n_star, cfg)
-        draws = montecarlo._memo
+        draws = _newest()
         engine, library, discarded = [], [], 0
         for b in range(-(-cfg.replications // BLOCK_SIZE)):
             rows = min(BLOCK_SIZE, cfg.replications - b * BLOCK_SIZE)
@@ -953,7 +981,7 @@ def test_results_do_not_depend_on_the_chunk_size(model, n, discards, monkeypatch
     def run():
         _forget_draws()
         estimates = [simulate_risk(kind, model, n, 300, cfg) for kind in EstimatorKind]
-        kls = [montecarlo._memo.block(b, None)[1].tobytes() for b in range(2)]
+        kls = [_newest().block(b, None)[1].tobytes() for b in range(2)]
         return estimates, kls
 
     want = run()
@@ -1124,12 +1152,14 @@ def test_many_cell_groups_take_the_table(monkeypatch, name, n, tabled):
 
 
 # ---------------------------------------------------------------------------
-# a sample-size solve holds its draws
+# the memo keeps several keys
 # ---------------------------------------------------------------------------
 
 UNIFORM = bundled_model("example1-uniform100x2")
 RSS_QUERY = RssQuery(RssKind.PRESENT_TO_POOLED, 400, 400, method="sim",
                      config=SimulationConfig(BLOCK_SIZE, seed=0))
+#: the memo key of the solve's target run
+RSS_TARGET = _key(UNIFORM, 400, RSS_QUERY.config)
 
 
 @pytest.fixture
@@ -1151,7 +1181,7 @@ def generators(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_block_generator", counted)
     monkeypatch.setattr(planning, "simulate_risk", probe)
-    monkeypatch.setattr(montecarlo, "_memo", None)
+    monkeypatch.setattr(montecarlo, "_memo", OrderedDict())
     return made, probes
 
 
@@ -1159,58 +1189,113 @@ def test_a_solve_draws_each_key_once(generators):
     """The present-vs-pooled solve on the uniform model at (400, 400)
     probes the pooled target and present n = 401 and 400, whose present
     surveys are those of the target: it draws them once.  Afterwards the
-    memo is the last key's one slot and nothing is held."""
+    memo keeps both keys, the target's the most recently used."""
     made, probes = generators
     assert required_sample_size(RSS_QUERY, UNIFORM) == 401
     assert probes == [(EstimatorKind.POOLED, 400, 400),
                       (EstimatorKind.PRESENT, 401, None),
                       (EstimatorKind.PRESENT, 400, None)]
     assert made == {(0, 0): 2}
-    assert montecarlo._memo.key == (UNIFORM.flat().tobytes(), UNIFORM.group_sizes,
-                                    400, RSS_QUERY.config)
-    assert montecarlo._holds == 0 and montecarlo._held == {}
+    assert list(montecarlo._memo) == [_key(UNIFORM, 401, RSS_QUERY.config),
+                                      RSS_TARGET]
 
 
-def test_a_solve_holds_the_slot_it_starts_with(generators):
+def test_solves_in_a_row_share_their_draws(generators):
+    """A second solve finds both of the first one's keys in the memo and
+    draws nothing."""
+    made, _ = generators
+    assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert required_sample_size(RSS_QUERY, UNIFORM) == 401
+    assert made == {(0, 0): 2}
+
+
+def test_a_solve_reuses_a_slot_filled_before_it(generators):
     """A slot filled before the solve, at the key of its second probe
-    (n = 401), is held too, though the target replaces it in the memo:
-    the solve then draws only n = 400."""
-    made, probes = generators
+    (n = 401), is found there: the solve draws only n = 400."""
+    made, _ = generators
     simulate_risk(EstimatorKind.PRESENT, UNIFORM, 401, None, RSS_QUERY.config)
     made.clear()
     assert required_sample_size(RSS_QUERY, UNIFORM) == 401
     assert made == {(0, 0): 1}
-    assert montecarlo._held == {}
 
 
-def test_nested_solves_share_one_hold(generators):
-    """An outer hold keeps the solve's slots until it is left."""
-    made, _ = generators
-    with montecarlo.SolveHold():
-        assert required_sample_size(RSS_QUERY, UNIFORM) == 401
-        assert len(montecarlo._held) == 2
-        assert required_sample_size(RSS_QUERY, UNIFORM) == 401
-    assert made == {(0, 0): 2}
-    assert montecarlo._holds == 0 and montecarlo._held == {}
-
-
-def test_a_hold_past_the_cap_keeps_no_extra_keys(generators, monkeypatch):
-    """Under a cap of one key's bytes the solve holds one slot at a time
-    and draws n = 400 twice, as the one-slot memo does, with the same
+def test_a_cap_of_one_key_keeps_one_slot(generators, monkeypatch):
+    """Under a cap of one key's bytes the memo keeps one slot at a time,
+    so the solve draws n = 400 again after n = 401, with the same
     answer."""
-    made, probes = generators
-    nbytes = 8 * BLOCK_SIZE * (4 * UNIFORM.n_groups - 1)
-    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", nbytes)
-    held = []
+    made, _ = generators
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES",
+                        montecarlo._slot_bytes(RSS_TARGET))
+    slots = []
     simulate = planning.simulate_risk
 
     def watched(*args):
         result = simulate(*args)
-        held.append(len(montecarlo._held))
+        slots.append(len(montecarlo._memo))
         return result
 
     monkeypatch.setattr(planning, "simulate_risk", watched)
     assert required_sample_size(RSS_QUERY, UNIFORM) == 401
-    assert held == [1, 1, 1]
+    assert slots == [1, 1, 1]
     assert made == {(0, 0): 3}
-    assert montecarlo._held == {}
+    assert list(montecarlo._memo) == [RSS_TARGET]
+
+
+def test_the_cap_drops_the_least_recently_used_slot(generators, monkeypatch):
+    """Under a cap of two keys' bytes, keys A, B, A, C leave A and C in
+    the memo: A is found there, and B is drawn again."""
+    made, _ = generators
+    config = {key: SimulationConfig(BLOCK_SIZE, seed)
+              for key, seed in zip("ABC", (1, 2, 3))}
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES",
+                        2 * montecarlo._slot_bytes(_key(UNIFORM_2X2, 20, config["A"])))
+
+    def call(key):
+        return simulate_risk(EstimatorKind.PRESENT, UNIFORM_2X2, 20, None, config[key])
+
+    want = {key: call(key) for key in "ABC"}
+    _forget_draws()
+    made.clear()
+    assert [call(key) for key in "ABACAB"] == [want[key] for key in "ABACAB"]
+    assert made == {(1, 0): 1, (2, 0): 2, (3, 0): 1}
+    assert list(montecarlo._memo) == [_key(UNIFORM_2X2, 20, config[k]) for k in "AB"]
+
+
+def test_threads_evicting_one_another_get_serial_results(monkeypatch):
+    """Six threads, more than the cores, call four keys in turns under a
+    cap of two keys' bytes with a short switch interval, so slots are
+    found, made and dropped concurrently: every call returns what it
+    returns alone, and the memo ends within the cap, each key once."""
+    configs = [SimulationConfig(64, seed) for seed in range(4)]
+    want = [simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 20, 30, config)
+            for config in configs]
+    monkeypatch.setattr(montecarlo, "_memo", OrderedDict())
+    cap = 2 * montecarlo._slot_bytes(_key(UNIFORM_2X2, 20, configs[0]))
+    monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", cap)
+    wrong = []
+
+    def worker(offset):
+        for i in range(200):
+            k = (offset + i) % len(configs)
+            try:
+                got = simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 20, 30,
+                                    configs[k])
+            except Exception as exc:  # a thread's error would otherwise be lost
+                got = exc
+            if got != want[k]:
+                wrong.append((k, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert 1 <= len(montecarlo._memo) <= 2
+    assert sum(map(montecarlo._slot_bytes, montecarlo._memo)) <= cap
