@@ -251,7 +251,7 @@ def _risk_rows(model_name, model, kinds, points, args) -> list[list[str]]:
     method, seed, reps and threads in ``args``; the fields of the other
     kinds are empty."""
     precision, config = args.precision, _config(args)
-    dq = derive(model) if config is None else None
+    dq = derive(model)
     rows = [_RISK_HEADER[args.method]]
     for n, n_star in points:
         row = [model_name, args.method, str(n),

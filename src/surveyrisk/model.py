@@ -24,8 +24,8 @@ All probabilities must be strictly positive and not subnormal: the risk
 formulas contain 1/m_ij terms and the KL loss is undefined against a
 zero truth.
 
-Construction validates once; instances are frozen and their array fields
-are marked read-only, so they can be shared freely across threads.
+Construction validates once, however a model is built; instances are
+frozen and hold read-only copies, so they can be shared across threads.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import enum
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -64,12 +64,30 @@ class TwoStageModel:
     """Validated cell probabilities, organized by first-stage group.
 
     ``labels`` names the groups (for file round-trips and CSV output) and
-    ``cells`` holds one read-only float array per group, in input order.
-    Use :func:`build_model` instead of constructing directly.
+    ``cells`` holds one float64 vector per group, in input order.
+    Construction checks every model: at least 2 groups of finite, positive,
+    normal cells summing to 1 within ``NORMALIZATION_TOL``, and one ``str``
+    label per group.  It keeps read-only copies of the cells and computes
+    the :class:`DerivedQuantities` that :func:`derive` returns.
     """
 
     labels: tuple[str, ...]
     cells: tuple[np.ndarray, ...]
+    _derived: DerivedQuantities = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cells = as_tuple(self.cells, "model cells")
+        total = _check_cells(cells)
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NotNormalized(f"cells sum to {total!r}; pass renormalize=True "
+                                f"or fix the input")
+        labels = as_tuple(self.labels, "labels")
+        if len(labels) != len(cells) or not all(isinstance(x, str) for x in labels):
+            raise ShapeError(f"need one str label per group: {len(cells)} "
+                             f"groups, labels {labels!r}")
+        cells = tuple(_readonly(np.array(g)) for g in cells)
+        # the instance is frozen; set its fields before anyone sees it
+        vars(self).update(labels=labels, cells=cells, _derived=_derive(cells))
 
     @property
     def n_groups(self) -> int:
@@ -263,70 +281,9 @@ class SurveyCounts:
         return tuple(len(row) for row in self.present)
 
 
-def build_model(
-    raw_cells: Iterable[Sequence[float]],
-    renormalize: bool = False,
-    labels: Sequence[str] | None = None,
-) -> TwoStageModel:
-    """Validate raw cell probabilities and return a model.
-
-    ``raw_cells`` is one sequence of positive reals per group (groups may
-    have different lengths).  With ``renormalize`` set, every cell is
-    divided by the grand total; otherwise the grand total must already be
-    within ``NORMALIZATION_TOL`` of 1.  The cells, and the renormalized
-    ones, must pass :func:`check_normal`.
-    """
-    groups = [as_floats(g, f"group {i}")
-              for i, g in enumerate(as_tuple(raw_cells, "raw_cells"))]
-    if len(groups) < 2:
-        raise ShapeError(f"need at least 2 groups, got {len(groups)}")
-    for i, g in enumerate(groups):
-        if g.ndim != 1 or g.size < 1:
-            raise ShapeError(f"group {i} must be a nonempty vector of cells")
-        if not np.all(np.isfinite(g)):
-            raise NonPositiveCell(f"group {i} contains a non-finite cell")
-        if np.any(g <= 0.0):
-            j = int(np.argmax(g <= 0.0))
-            raise NonPositiveCell(
-                f"cell ({i}, {j}) is {g[j]!r}; every cell must be positive"
-            )
-    flat = np.concatenate(groups)
-    check_normal(flat, "cells")
-    try:
-        total = math.fsum(flat.tolist())
-    except OverflowError:
-        raise DomainError("cells sum past the float range") from None
-    if renormalize:
-        groups = [g / total for g in groups]
-        check_normal(flat / total, "renormalized cells")
-    elif abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(
-            f"cells sum to {total!r}; pass renormalize=True or fix the input"
-        )
-
-    if labels is None:
-        labels = tuple(f"g{i + 1}" for i in range(len(groups)))
-    else:
-        labels = tuple(str(x) for x in as_tuple(labels, "labels"))
-        if len(labels) != len(groups):
-            raise ShapeError(
-                f"{len(labels)} labels for {len(groups)} groups"
-            )
-    return TwoStageModel(labels=labels, cells=tuple(_readonly(g) for g in groups))
-
-
-def derive(model: TwoStageModel) -> DerivedQuantities:
-    """Compute marginals, conditionals and the expansion coefficients.
-
-    Pure and deterministic: summation order is fixed (group-major,
-    ascending index) with ``math.fsum`` for the scalar reductions, so the
-    published-value reproductions are stable to full double precision.
-    """
-    if not isinstance(model, TwoStageModel):
-        raise DomainError(f"model must be a TwoStageModel, got {type(model).__name__}")
-    # a model built directly has skipped build_model: check its layout
-    # with build_model's words, in O(I), and then its cells
-    cells = as_tuple(model.cells, "model cells")
+def _check_cells(cells: Sequence[np.ndarray]) -> float:
+    """The grand total of at least 2 groups of float64 cells, each a
+    nonempty vector of finite, positive, normal cells."""
     if len(cells) < 2:
         raise ShapeError(f"need at least 2 groups, got {len(cells)}")
     for i, g in enumerate(cells):
@@ -335,7 +292,49 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
             raise DomainError(f"group {i} must be real numbers, got {got}")
         if g.ndim != 1 or g.size < 1:
             raise ShapeError(f"group {i} must be a nonempty vector of cells")
-    check_normal(np.concatenate(cells), "model cells")
+        if not np.all(np.isfinite(g)):
+            raise NonPositiveCell(f"group {i} contains a non-finite cell")
+        if np.any(g <= 0.0):
+            j = int(np.argmax(g <= 0.0))
+            raise NonPositiveCell(
+                f"cell ({i}, {j}) is {float(g[j])!r}; every cell must be positive"
+            )
+    flat = np.concatenate(cells)
+    check_normal(flat, "cells")
+    try:
+        return math.fsum(flat.tolist())
+    except OverflowError:
+        raise DomainError("cells sum past the float range") from None
+
+
+def build_model(
+    raw_cells: Iterable[Sequence[float]],
+    renormalize: bool = False,
+    labels: Sequence[str] | None = None,
+) -> TwoStageModel:
+    """Convert raw cell probabilities and return a model.
+
+    ``raw_cells`` is one sequence of positive reals per group (groups may
+    have different lengths).  With ``renormalize`` set, every cell is
+    divided by the grand total, and a quotient below the least normal
+    float raises DomainError.  Groups are labelled g1, g2, ... by default.
+    """
+    groups = [as_floats(g, f"group {i}")
+              for i, g in enumerate(as_tuple(raw_cells, "raw_cells"))]
+    if renormalize:
+        total = _check_cells(groups)
+        groups = [g / total for g in groups]
+        check_normal(np.concatenate(groups), "renormalized cells")
+    if labels is None:
+        labels = tuple(f"g{i + 1}" for i in range(len(groups)))
+    else:
+        labels = tuple(str(x) for x in as_tuple(labels, "labels"))
+    return TwoStageModel(labels=labels, cells=tuple(groups))
+
+
+def _derive(cells: tuple[np.ndarray, ...]) -> DerivedQuantities:
+    """Derived quantities of checked cells; each sum is an ``math.fsum`` in
+    a fixed order (group-major, ascending index), so stable to the bit."""
     marginals = np.array([math.fsum(g.tolist()) for g in cells])
     conditionals = tuple(_readonly(g / m) for g, m in zip(cells, marginals))
     sizes = np.array([g.size for g in cells], dtype=np.int64)
@@ -358,3 +357,10 @@ def derive(model: TwoStageModel) -> DerivedQuantities:
         M_f=M_f,
         A=_readonly(np.array(A)),
     )
+
+
+def derive(model: TwoStageModel) -> DerivedQuantities:
+    """The model's derived quantities, computed once at its construction."""
+    if not isinstance(model, TwoStageModel):
+        raise DomainError(f"model must be a TwoStageModel, got {type(model).__name__}")
+    return model._derived

@@ -477,10 +477,11 @@ def simulate_risk(
     any work: :meth:`EstimatorKind.prior_size` checks the kind and n* (the
     present kind ignores n*); sizes and ``workers`` are integers (numpy's
     too), and a fractional or bool one, n > 2**48, n* > 2**51, or a
-    ``config`` that is not a SimulationConfig raises DomainError.  Then R
-    replications at a size whose acceptance bound a
-    (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS`` < 1 + ln R
-    raise RejectionBudgetExceeded before drawing.
+    ``config`` that is not a SimulationConfig raises DomainError, as do
+    marginals that numpy's multinomial refuses.  Then R replications at a
+    size whose acceptance bound a (:func:`_acceptance_bound`) has
+    a * ``_MAX_REJECTIONS`` < 1 + ln R raise RejectionBudgetExceeded before
+    drawing.
     """
     n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")
@@ -496,6 +497,14 @@ def simulate_risk(
         raise DomainError(f"config must be a SimulationConfig, got {config!r}")
     workers = as_int(workers, "workers")
     dq = derive(model)
+    head = c = 0.0  # numpy's Kahan sum of the first I - 1 marginals
+    for v in dq.marginals[:-1].tolist():
+        y = v - c
+        t = head + y
+        c, head = (t - head) - y, t
+    if head > 1.0 + 1e-12:  # where numpy's multinomial refuses them
+        raise DomainError(f"the first {dq.marginals.size - 1} group marginals sum "
+                          f"to {head!r} > 1 + 1e-12; build the model with renormalize")
     reps = config.replications
     accept = _acceptance_bound(dq.marginals, n)
     if accept * _MAX_REJECTIONS < 1 + math.log(reps):

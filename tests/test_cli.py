@@ -440,6 +440,22 @@ def test_sizes_outside_the_engine_range_exit_1(capsys):
         assert "DomainError" in capsys.readouterr().err
 
 
+def test_marginals_numpy_cannot_draw_exit_1(tmp_path, capsys):
+    """A model within the normalization tolerance whose first group
+    marginals sum past 1 + 1e-12 once ended ``--method sim`` in numpy's
+    traceback; ``--method app`` still answers."""
+    model = tmp_path / "over.model"
+    model.write_text("model over\nrenormalize off\ngroup a : 0.6\n"
+                     "group b : 0.4000000005\ngroup c : 1e-10\n", encoding="utf-8")
+    risk = ["risk", "--model", str(model), "--estimator", "present", "--n", "100000"]
+    assert run(risk + ["--method", "sim", "--reps", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DomainError: ")
+    assert captured.err.count("\n") == 1 and "renormalize" in captured.err
+    assert run(risk + ["--method", "app"]) == 0
+
+
 def test_a_reused_parser_keeps_no_values_between_calls(capsys):
     """``run`` builds its parser once; a flag given to one call does not
     leak into the next, which falls back to the default seed."""

@@ -211,8 +211,8 @@ _OVERFLOWING_RISK = [[2.3e-308] * 3 + [0.5 - 6.9e-308], [0.5]]
      "renormalized cells .*, got values from 0.0 to"),
     (lambda: build_model([[1e308, 1e308], [1.0]], renormalize=True),
      "cells sum past the float range"),
-    (lambda: derive(TwoStageModel(labels=("a", "b"), cells=(
-        np.array([5e-324, 0.5]), np.array([0.5])))), "model cells .*from 5e-324 to 0.5"),
+    (lambda: TwoStageModel(labels=("a", "b"), cells=(
+        np.array([5e-324, 0.5]), np.array([0.5]))), "^cells .*from 5e-324 to 0.5"),
     (lambda: advise_from_marginals((1, 1), [1e-320, 1.0], 200, 600),
      "plug-in marginals .*from 1e-320 to 1.0"),
     (lambda: advise_from_marginals((2,) * 7, _TINY_MARGINALS, 200, 600),
@@ -233,7 +233,7 @@ _OVERFLOWING_RISK = [[2.3e-308] * 3 + [0.5 - 6.9e-308], [0.5]]
     (lambda: risk_app(EstimatorKind.POOLED, derive(_BREAST_CANCER), 10**308, 10**308),
      r"n \+ n\* must be within the float range"),
 ], ids=["build_model-subnormal", "build_model-underflow", "build_model-sum-overflow",
-        "derive-subnormal", "advise_from_marginals-subnormal",
+        "TwoStageModel-subnormal", "advise_from_marginals-subnormal",
         "advise_from_marginals-overflow", "advise_from_marginals-huge-int",
         "derive-overflow", "risk_app-overflow", "required_sample_size-overflow",
         "risk_app-hollow", "risk_app-huge-n", "risk_app-sizes-past-float-range"])
@@ -255,29 +255,57 @@ def test_an_overflowing_sum_is_not_normalized_without_a_warning():
 
 
 _HALF = np.array([0.25, 0.25])
+_AB = ("a", "b")
 
 
-@pytest.mark.parametrize("cells, error, message", [
-    ((), ShapeError, "need at least 2 groups, got 0"),
-    ((_HALF,), ShapeError, "need at least 2 groups, got 1"),
-    (None, DomainError, "model cells must be a sequence, got NoneType"),
-    ((None,) * 2, DomainError, "group 0 must be real numbers, got NoneType"),
-    ((_HALF, [0.25, 0.25]), DomainError, "group 1 must be real numbers, got list"),
-    ((_HALF, _HALF.astype(np.float32)), DomainError,
+@pytest.mark.parametrize("labels, cells, error, message", [
+    ((), (), ShapeError, "need at least 2 groups, got 0"),
+    ((), (_HALF,), ShapeError, "need at least 2 groups, got 1"),
+    ((), None, DomainError, "model cells must be a sequence, got NoneType"),
+    ((), (None,) * 2, DomainError, "group 0 must be real numbers, got NoneType"),
+    ((), (_HALF, [0.25, 0.25]), DomainError, "group 1 must be real numbers, got list"),
+    ((), (_HALF, _HALF.astype(np.float32)), DomainError,
      "group 1 must be real numbers, got float32"),
-    ((_HALF, np.array([0, 1])), DomainError, "group 1 must be real numbers, got int64"),
-    ((_HALF, _HALF.reshape(1, 2)), ShapeError,
+    ((), (_HALF, np.array([0, 1])), DomainError, "group 1 must be real numbers, got int64"),
+    ((), (_HALF, _HALF.reshape(1, 2)), ShapeError,
      "group 1 must be a nonempty vector of cells"),
-    ((_HALF, np.array(0.5)), ShapeError, "group 1 must be a nonempty vector of cells"),
-    ((_HALF, np.empty(0)), ShapeError, "group 1 must be a nonempty vector of cells"),
+    ((), (_HALF, np.array(0.5)), ShapeError, "group 1 must be a nonempty vector of cells"),
+    ((), (_HALF, np.empty(0)), ShapeError, "group 1 must be a nonempty vector of cells"),
+    (_AB, (np.array([1.0, 0.5]), np.array([0.5])), NotNormalized, "cells sum to 2.0;"),
+    (_AB, (np.array([0.1, 0.1]), np.array([0.1])), NotNormalized, "cells sum to 0.3"),
+    (_AB, (_HALF, np.array([0.5, -0.0])), NonPositiveCell, r"cell \(1, 1\) is -0.0"),
+    ((), (_HALF, _HALF), ShapeError, "one str label per group: 2 groups, labels ()"),
+    (("a", 2), (_HALF, _HALF), ShapeError, "one str label per group"),
 ], ids=["no-groups", "one-group", "none", "none-groups", "list-group",
-        "float32-group", "int-group", "2d-group", "0d-group", "empty-group"])
-def test_derive_checks_a_model_built_directly(cells, error, message):
-    """A TwoStageModel built without ``build_model`` is refused by
-    ``derive`` with ``build_model``'s exception class and wording, where it
-    returned p_total = -1 for no groups or raised AttributeError."""
+        "float32-group", "int-group", "2d-group", "0d-group", "empty-group",
+        "sum-2", "sum-0.3", "negative-zero-cell", "no-labels", "int-label"])
+def test_a_model_built_directly_is_checked_at_construction(labels, cells, error,
+                                                          message):
+    """A TwoStageModel built without ``build_model`` is refused at
+    construction with ``build_model``'s exception class and wording.  Once
+    ``derive`` checked only the cells' layout and normality: cells summing
+    to 2.0 made ``simulate_risk`` spin for seconds before it refused the
+    run and gave a discard probability of 0.0, cells summing to 0.3 gave a
+    simulated risk of 1.34, and a model without labels dumped a model file
+    with no groups."""
     with pytest.raises(error, match=message):
-        derive(TwoStageModel(labels=(), cells=cells))
+        TwoStageModel(labels=labels, cells=cells)
+
+
+def test_a_model_keeps_its_own_read_only_copies():
+    """A caller's later write to its own array does not reach the model,
+    and the caller's array stays writeable, through ``build_model`` too,
+    which once marked it read-only.  ``derive`` returns the quantities the
+    model computed at construction."""
+    a, b = np.array([0.25, 0.25]), np.array([0.5])
+    direct, built = TwoStageModel(labels=_AB, cells=(a, b)), build_model([a, b])
+    a[0] = 0.9
+    b.fill(0.1)
+    for m in (direct, built):
+        np.testing.assert_array_equal(m.flat(), [0.25, 0.25, 0.5])
+        assert not m.cells[0].flags.writeable
+        assert derive(m) is derive(m)
+        np.testing.assert_array_equal(derive(m).marginals, [0.5, 0.5])
 
 
 def test_derive_singleton_groups():

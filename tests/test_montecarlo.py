@@ -327,6 +327,41 @@ def test_sizes_whose_estimates_overflow_int64_are_refused():
     assert time.perf_counter() - start < 0.5
 
 
+def test_marginals_past_what_numpy_draws_raise_domain_error():
+    """Cells within NORMALIZATION_TOL of 1 whose first I - 1 marginals sum
+    past 1 + 1e-12 once made every kind raise numpy's ValueError
+    "sum(pvals[:-1]) > 1.0"; ``risk_app`` still answers on them."""
+    model = build_model([[0.6], [0.4 + 5e-10], [1e-10]])
+    cfg = SimulationConfig(replications=64, seed=0)
+    for kind in EstimatorKind:
+        with pytest.raises(DomainError, match="sum to 1.0000000005 > .*renormalize"):
+            simulate_risk(kind, model, 10**5, 200, cfg)
+    assert math.isfinite(risk_app(EstimatorKind.PRESENT, derive(model), 10**5).total)
+
+
+def test_the_engine_refuses_exactly_the_marginals_numpy_refuses():
+    """Near the bound, an exact sum disagrees with numpy's Kahan sum for
+    a few models in a thousand; the engine refuses no more and no fewer
+    than numpy.  The tiny last group makes an accepted model fail the rejection
+    budget before any draw."""
+    rng = np.random.default_rng(7)
+    refused = 0
+    for _ in range(3000):
+        head = rng.random(int(rng.integers(2, 30)))
+        head *= (1 + 1e-12 + int(rng.integers(-8, 9)) * 2**-52) / head.sum()
+        model = build_model([*([x] for x in head), [1e-10]])
+        try:
+            np.random.default_rng(0).multinomial(1, derive(model).marginals)
+            error = RejectionBudgetExceeded
+        except ValueError:
+            error = DomainError
+        refused += error is DomainError
+        with pytest.raises(error):
+            simulate_risk(EstimatorKind.PRESENT, model, 200, None,
+                          SimulationConfig(64))
+    assert 0 < refused < 3000
+
+
 #: a model whose prior draw has q = 0.999; the nearer q is to 1, the
 #: fewer trials ``binom.ppf`` takes to start returning NaN
 SKEWED = build_model([[0.999], [0.0004, 0.0006]])
