@@ -13,11 +13,10 @@ Kullback-Leibler loss) of each estimator on the bundled uniform model
 with two groups of 100 equiprobable cells, for a grid of survey sizes.
 """
 
-from surveyrisk import EstimatorKind, bundled_model, derive, risk_app
+from surveyrisk import EstimatorKind, bundled_model, risk_app
 
 name = "example1-uniform100x2"
 model = bundled_model(name)
-dq = derive(model)
 
 print(f"model: {name}  (groups={model.n_groups}, cells={model.total_cells})")
 print()
@@ -31,9 +30,9 @@ for n, n_star in [
     (800, 800),
     (1000, 1000),
 ]:
-    pre = risk_app(EstimatorKind.PRESENT, dq, n).total
-    pri = risk_app(EstimatorKind.PRIOR, dq, n, n_star).total
-    poo = risk_app(EstimatorKind.POOLED, dq, n, n_star).total
+    pre = risk_app(EstimatorKind.PRESENT, model, n).total
+    pri = risk_app(EstimatorKind.PRIOR, model, n, n_star).total
+    poo = risk_app(EstimatorKind.POOLED, model, n, n_star).total
     best = min(("present", pre), ("prior", pri), ("pooled", poo), key=lambda t: t[1])
     print(f"{n:>6} {n_star:>8} {pre:>10.6f} {pri:>10.6f} {poo:>10.6f}  {best[0]}")
 

@@ -19,22 +19,20 @@ from surveyrisk import (
     EstimatorKind,
     SimulationConfig,
     bundled_model,
-    derive,
     risk_app,
     simulate_risk,
 )
 
 model = bundled_model("example1-uniform100x2")
-dq = derive(model)
 cfg = SimulationConfig(replications=20_000, seed=12345)
 
-pre_app = risk_app(EstimatorKind.PRESENT, dq, 90).total
+pre_app = risk_app(EstimatorKind.PRESENT, model, 90).total
 pre_sim = simulate_risk(EstimatorKind.PRESENT, model, 90, None, cfg).mean_loss
 print(f"present alone at n=90:   app {pre_app:.6f}   sim {pre_sim:.6f}")
 print()
 print(f"{'n*':>6} {'pooled app':>12} {'pooled sim':>12}")
 for n_star in range(100, 1001, 100):
-    app = risk_app(EstimatorKind.POOLED, dq, 90, n_star).total
+    app = risk_app(EstimatorKind.POOLED, model, 90, n_star).total
     sim = simulate_risk(EstimatorKind.POOLED, model, 90, n_star, cfg).mean_loss
     print(f"{n_star:>6} {app:>12.6f} {sim:>12.6f}")
 

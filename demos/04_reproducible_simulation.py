@@ -18,7 +18,6 @@ from surveyrisk import (
     EstimatorKind,
     SimulationConfig,
     bundled_model,
-    derive,
     discard_probability,
     risk_app,
     simulate_risk,
@@ -53,7 +52,7 @@ for n in (200, 400):
 # With enough replications the simulated mean homes in on the truncated
 # expansion wherever the sample sizes are comfortably large.
 print()
-app = risk_app(EstimatorKind.POOLED, derive(model), 1000, 1000).total
+app = risk_app(EstimatorKind.POOLED, model, 1000, 1000).total
 sim = simulate_risk(
     EstimatorKind.POOLED, model, 1000, 1000,
     SimulationConfig(replications=50_000, seed=7), workers=8,

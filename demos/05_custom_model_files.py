@@ -19,7 +19,6 @@ from pathlib import Path
 from surveyrisk import (
     EstimatorKind,
     chain_rule,
-    derive,
     estimate,
     kl_divergence,
     risk_app,
@@ -64,10 +63,9 @@ for kind in EstimatorKind:
           f"  (first stage {parts.first_stage_kl:.6f})")
 
 # Expected losses at the observed design size.
-dq = derive(model)
 n, n_star = counts.n, counts.n_star
 print()
 print(f"risk at n={n}, n*={n_star}:")
 for kind in EstimatorKind:
     extra = None if kind is EstimatorKind.PRESENT else n_star
-    print(f"{kind.name.lower():>8}: {risk_app(kind, dq, n, extra).total:.6f}")
+    print(f"{kind.name.lower():>8}: {risk_app(kind, model, n, extra).total:.6f}")

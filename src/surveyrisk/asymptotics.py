@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .estimators import EstimatorKind
 from .errors import DomainError
-from .model import DerivedQuantities, as_int
+from .model import TwoStageModel, as_int, derive
 
 __all__ = ["RiskApproximation", "risk_app"]
 
@@ -71,23 +71,21 @@ class RiskApproximation:
 
 def risk_app(
     kind: EstimatorKind,
-    dq: DerivedQuantities,
+    model: TwoStageModel,
     n: int,
     n_star: int | None = None,
 ) -> RiskApproximation:
-    """Evaluate one estimator's truncated risk expansion.
+    """Evaluate one estimator's truncated risk expansion for ``model``.
 
     For the prior estimator, ``n_star=math.inf`` gives the limit of its
     risk as the prior survey grows without bound: the within-group floor
     that no prior survey can lower.  Otherwise sizes are integers >= 1
     (numpy integers work).  ``n_star`` is ignored for the present estimator.
-    A ``kind`` that is not an EstimatorKind member, a ``dq`` that is not
-    a DerivedQuantities, n + n* past the float range, or a risk past it
+    A ``model`` that is not a TwoStageModel, a ``kind`` that is not an
+    EstimatorKind member, n + n* past the float range, or a risk past it
     raises DomainError.
     """
-    if not isinstance(dq, DerivedQuantities):
-        raise DomainError("dq must be the DerivedQuantities of derive(model), "
-                          f"got {type(dq).__name__}")
+    dq = derive(model)
     if not (kind is EstimatorKind.PRIOR and n_star == math.inf):
         n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")

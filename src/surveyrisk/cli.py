@@ -251,13 +251,12 @@ def _risk_rows(model_name, model, kinds, points, args) -> list[list[str]]:
     method, seed, reps and threads in ``args``; the fields of the other
     kinds are empty."""
     precision, config = args.precision, _config(args)
-    dq = derive(model)
     rows = [_RISK_HEADER[args.method]]
     for n, n_star in points:
         row = [model_name, args.method, str(n),
                "" if n_star is None else str(n_star)]
         if config is None:
-            values = {k: [_fmt(risk_app(k, dq, n, n_star).total, precision)]
+            values = {k: [_fmt(risk_app(k, model, n, n_star).total, precision)]
                       for k in kinds}
             width, tail = 1, []
         else:

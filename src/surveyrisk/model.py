@@ -122,9 +122,10 @@ class TwoStageModel:
 class DerivedQuantities:
     """Every scalar and vector the risk formulas consume; see module docstring.
 
-    ``conditionals`` is one read-only array per group.  All reductions use
-    compensated summation in a fixed order, so equal models yield bitwise
-    equal results.
+    A plain record: the model computes and checks these when it is built,
+    and :func:`derive` reads them.  ``conditionals`` is one read-only array
+    per group.  All reductions use compensated summation in a fixed order,
+    so equal models yield bitwise equal results.
     """
 
     marginals: np.ndarray
@@ -133,23 +134,6 @@ class DerivedQuantities:
     p_total: int
     M_f: float
     A: np.ndarray
-
-    def __post_init__(self) -> None:
-        """For an instance built directly, DomainError unless, as
-        :func:`derive` gives them, there are I >= 2 marginals, each finite
-        and at least the least normal float, I conditionals, I dimensions
-        s >= 0 with p_total = I - 1 + sum(s), and finite M_f and A; O(I)."""
-        try:
-            m, s, A = self.marginals.tolist(), self.s.tolist(), self.A.tolist()
-            fits = (2 <= len(m) == len(s) == len(A) == len(self.conditionals)
-                    and self.p_total == len(m) - 1 + sum(s) and min(s) >= 0
-                    and min(m) >= sys.float_info.min
-                    and all(map(math.isfinite, [*m, *A, self.M_f])))
-        except (AttributeError, TypeError, ValueError):
-            fits = False
-        if not fits:
-            raise DomainError("a DerivedQuantities needs the fields that "
-                              "derive(model) gives it")
 
 
 def as_int(x: object, what: str, least: int = 1) -> int:
@@ -172,12 +156,13 @@ def as_int(x: object, what: str, least: int = 1) -> int:
 
 
 def as_tuple(x: object, what: str) -> tuple:
-    """``x`` as a tuple if it is iterable, else DomainError."""
-    try:
-        return tuple(x)
-    except TypeError:
-        raise DomainError(f"{what} must be a sequence, got "
-                          f"{type(x).__name__}") from None
+    """``x`` as a tuple if it is iterable and not a str or bytes, else DomainError."""
+    if not isinstance(x, (str, bytes)):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be a sequence, got {type(x).__name__}")
 
 
 def as_floats(x: object, what: str) -> np.ndarray:

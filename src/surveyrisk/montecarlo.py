@@ -38,7 +38,7 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      count, each a convex combination, so it stays within about 1e-13 of
      the exact CDF relative, a tenth of the check's margin.  Past R = 256
      or R * (C + R) = 16 * rows it gives way to ``binom.cdf`` at the
-     distinct (trials, count) points; no bundled model reaches that.
+     distinct (trials, count) points, as in example3-household's sim tables.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -69,12 +69,11 @@ of rel_entr(k / t, v) over its range of totals t, the counts k drawn so
 far and its distinct conditionals v, while the table has at most one
 entry per ``_KL_TABLE_CELLS_PER_ENTRY`` of the block's cells; the
 table's arguments are the same int64 true divisions, so D keeps its
-bytes.  The identity
-is exact, the rounding is not the same, so engine losses equal
-``kl_divergence`` of the library's estimate to within 1e-15 + 1e-12 *
-loss, not bitwise.  The absolute term is what counts at large n: the
-rounding error of either sum stays near a unit in the last place of 1,
-while the loss shrinks like 1/n.
+bytes.  The identity is exact, the rounding is not the same, so engine
+losses equal ``kl_divergence`` of the library's estimate to within
+1e-15 + 1e-12 * loss, not bitwise.  The absolute term is what counts at
+large n: the rounding error of either sum stays near a unit in the last
+place of 1, while the loss shrinks like 1/n.
 
 Memo of draws.  A block's present surveys and prior uniforms depend
 only on (model cells, group sizes, n, seed, replications), never on the
@@ -473,15 +472,15 @@ def simulate_risk(
 
     For a fixed (seed, replications, model, kind, n, n*) the result is
     identical for every ``workers`` value, and for a fresh draw and a memo
-    hit (see the module docstring), whichever kind filled the memo.  Every argument is checked before
-    any work: :meth:`EstimatorKind.prior_size` checks the kind and n* (the
-    present kind ignores n*); sizes and ``workers`` are integers (numpy's
-    too), and a fractional or bool one, n > 2**48, n* > 2**51, or a
-    ``config`` that is not a SimulationConfig raises DomainError, as do
-    marginals that numpy's multinomial refuses.  Then R replications at a
-    size whose acceptance bound a (:func:`_acceptance_bound`) has
-    a * ``_MAX_REJECTIONS`` < 1 + ln R raise RejectionBudgetExceeded before
-    drawing.
+    hit (see the module docstring), whichever kind filled the memo.  Every
+    argument is checked before any work: :meth:`EstimatorKind.prior_size`
+    checks the kind and n* (the present kind ignores n*); sizes and
+    ``workers`` are integers (numpy's too), and a fractional or bool one,
+    n > 2**48, n* > 2**51, or a ``config`` that is not a SimulationConfig
+    raises DomainError, as do marginals that numpy's multinomial refuses.
+    Then R replications at a size whose acceptance bound a
+    (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS`` < 1 + ln R
+    raise RejectionBudgetExceeded before drawing.
     """
     n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")

@@ -235,15 +235,15 @@ def required_sample_size(
     change results.
     """
     workers = as_int(workers, "workers")
-    dq = derive(model)
+    derive(model)  # a model of the wrong type is refused before the query
     if not isinstance(query, RssQuery):
         raise DomainError(f"query must be an RssQuery, got {type(query).__name__}")
     n0 = query.n0
     cap = n0 * 2**MAX_DOUBLINGS
 
     if query.kind is RssKind.PRIOR_TO_PRESENT:
-        target_app = risk_app(EstimatorKind.PRESENT, dq, n0).total
-        if risk_app(EstimatorKind.PRIOR, dq, n0, math.inf).total >= target_app:
+        target_app = risk_app(EstimatorKind.PRESENT, model, n0).total
+        if risk_app(EstimatorKind.PRIOR, model, n0, math.inf).total >= target_app:
             raise Unattainable(
                 f"the prior estimator cannot reach the present estimator's "
                 f"risk at n0={n0} for any prior size; the within-group risk "
@@ -261,7 +261,7 @@ def required_sample_size(
             target = risk(EstimatorKind.POOLED, n0, query.n0_star)
             return lambda n: risk(EstimatorKind.PRESENT, n, None) - target
 
-    f_app = curve(lambda kind, n, n_star: risk_app(kind, dq, n, n_star).total)
+    f_app = curve(lambda kind, n, n_star: risk_app(kind, model, n, n_star).total)
     a0 = _least_satisfying(f_app, n0, n0, cap)
     if query.method == "app":
         if a0 is None:

@@ -31,7 +31,6 @@ from surveyrisk import (
     SurveyCounts,
     bundled_model,
     chain_rule,
-    derive,
     discard_probability,
     estimate,
     kl_divergence,
@@ -135,12 +134,12 @@ def _sim(kind, model, n, n_star, reps, seed):
 
 @criterion(1, "uniform-model risk approximations")
 def test_uniform_model_risk_table():
-    dq = derive(bundled_model(UNIFORM))
+    model = bundled_model(UNIFORM)
     t0 = time.monotonic()
     for n, n_star, pre, pri, poo in UNIFORM_RISK_APP:
-        assert abs(risk_app(EstimatorKind.PRESENT, dq, n).total - pre) <= 5e-7
-        assert abs(risk_app(EstimatorKind.PRIOR, dq, n, n_star).total - pri) <= 5e-7
-        assert abs(risk_app(EstimatorKind.POOLED, dq, n, n_star).total - poo) <= 5e-7
+        assert abs(risk_app(EstimatorKind.PRESENT, model, n).total - pre) <= 5e-7
+        assert abs(risk_app(EstimatorKind.PRIOR, model, n, n_star).total - pri) <= 5e-7
+        assert abs(risk_app(EstimatorKind.POOLED, model, n, n_star).total - poo) <= 5e-7
     assert time.monotonic() - t0 < 1.0
 
 
@@ -167,11 +166,10 @@ def test_dataset_models_risk_and_rss_tables():
         (HOUSEHOLD, HOUSEHOLD_RISK_APP, HOUSEHOLD_RSS_PRIOR, HOUSEHOLD_RSS_POOLED),
     ):
         model = bundled_model(name)
-        dq = derive(model)
         for (n, n_star), (pre, pri, poo) in risks.items():
-            assert abs(risk_app(EstimatorKind.PRESENT, dq, n).total - pre) <= 5e-4
-            assert abs(risk_app(EstimatorKind.PRIOR, dq, n, n_star).total - pri) <= 5e-4
-            assert abs(risk_app(EstimatorKind.POOLED, dq, n, n_star).total - poo) <= 5e-4
+            assert abs(risk_app(EstimatorKind.PRESENT, model, n).total - pre) <= 5e-4
+            assert abs(risk_app(EstimatorKind.PRIOR, model, n, n_star).total - pri) <= 5e-4
+            assert abs(risk_app(EstimatorKind.POOLED, model, n, n_star).total - poo) <= 5e-4
         for n0, want in rss_prior.items():
             got = required_sample_size(RssQuery(RssKind.PRIOR_TO_PRESENT, n0), model)
             assert abs(got - want) <= 2
@@ -288,27 +286,25 @@ def test_algebraic_and_determinism_properties():
     # The reduced closed forms agree with the general expansion.
     for _ in range(100):
         model = random_model(rng)
-        dq = derive(model)
         n = int(rng.integers(1, 5000))
         n_star = int(rng.integers(1, 5000))
         for kind in EstimatorKind:
-            general = risk_app(kind, dq, n, n_star).total
+            general = risk_app(kind, model, n, n_star).total
             closed = risk_app_closed_form(kind, model, n, n_star)
             assert abs(closed - general) <= 1e-12 * max(1.0, abs(general))
 
     # Required sample sizes are the least integers meeting the target.
     uniform = bundled_model(UNIFORM)
-    dq = derive(uniform)
     r = required_sample_size(RssQuery(RssKind.PRIOR_TO_PRESENT, 1000), uniform)
-    target = risk_app(EstimatorKind.PRESENT, dq, 1000).total
-    assert risk_app(EstimatorKind.PRIOR, dq, 1000, r).total <= target
-    assert risk_app(EstimatorKind.PRIOR, dq, 1000, r - 1).total > target
+    target = risk_app(EstimatorKind.PRESENT, uniform, 1000).total
+    assert risk_app(EstimatorKind.PRIOR, uniform, 1000, r).total <= target
+    assert risk_app(EstimatorKind.PRIOR, uniform, 1000, r - 1).total > target
     r = required_sample_size(
         RssQuery(RssKind.PRESENT_TO_POOLED, 1000, n0_star=1000), uniform
     )
-    target = risk_app(EstimatorKind.POOLED, dq, 1000, 1000).total
-    assert risk_app(EstimatorKind.PRESENT, dq, r).total <= target
-    assert risk_app(EstimatorKind.PRESENT, dq, r - 1).total > target
+    target = risk_app(EstimatorKind.POOLED, uniform, 1000, 1000).total
+    assert risk_app(EstimatorKind.PRESENT, uniform, r).total <= target
+    assert risk_app(EstimatorKind.PRESENT, uniform, r - 1).total > target
 
     # Worker count never changes results: bitwise-equal estimates.
     cfg = SimulationConfig(replications=2 * BLOCK_SIZE + 100, seed=31)

@@ -4,14 +4,13 @@
 from SurveyRiskError, so that a caller can catch one base class.  The
 property below calls each callable in ``surveyrisk.__all__`` with one
 argument per parameter, drawn from a pool of common slips (None, a
-string, NaN, ``bool``, numpy integers, negative values, a model where
-derived quantities are expected and the reverse, numbers at the edges of
-the float range) mixed with valid values, so
-that a call also gets past its first check.  Calling an enum class looks
-a member up, and a non-member raises DomainError.  Every warning is an
-error, and no call returns a non-finite float at any depth of its
-result, except a plain record's constructor, which stores what it is
-given.
+string, NaN, ``bool``, numpy integers, negative values, derived
+quantities where a model is expected, numbers at the edges of the float
+range) mixed with valid values, so that a call also gets past its first
+check.  Calling an enum class looks a member up, and a non-member raises
+DomainError.  Every warning is an error, and no call returns a
+non-finite float at any depth of its result, except a plain record's
+constructor, which stores what it is given.
 
 Every call stays small: sizes are at most 64, every SimulationConfig has
 at most 64 replications (one block, so no worker thread starts), every
@@ -39,6 +38,7 @@ from surveyrisk import (
     AdviceContext,
     ChainRuleBreakdown,
     Decision,
+    DerivedQuantities,
     DomainError,
     EstimatorKind,
     Recommendation,
@@ -60,7 +60,8 @@ _CANCER = bundled_model("example2-breast-cancer")
 _TINY = build_model([[0.25, 0.25], [0.5]])
 _COUNTS = SurveyCounts(present=((2, 2), (3,)), prior=(6, 4))
 #: classes that store what they are given, NaN included
-_RECORDS = (ChainRuleBreakdown, Recommendation, RiskApproximation, RiskEstimate)
+_RECORDS = (ChainRuleBreakdown, DerivedQuantities, Recommendation,
+            RiskApproximation, RiskEstimate)
 
 _POOL = (
     None, "ab", "example1-uniform100x2", math.nan, math.inf, True, -1, -0.5,
@@ -122,8 +123,7 @@ def _floats(result):
 @_slip("advise_from_marginals", (2, 1), (5e-324, 1.0), 60, 2,
        AdviceContext.POST_SURVEY)
 @_slip("TwoStageModel", ("a", "b"), (np.array([5e-324, 0.5]), np.array([0.5])))
-@_slip("DerivedQuantities", None, None, None, None, None, math.nan)
-@_slip("risk_app", EstimatorKind.PRESENT, derive(_CANCER), 10**400, None)
+@_slip("risk_app", EstimatorKind.PRESENT, _CANCER, 10**400, None)
 def test_every_public_callable_returns_or_raises_a_survey_risk_error(name, pool):
     fn = getattr(surveyrisk, name)
     parameters = _parameters(fn)
@@ -140,6 +140,23 @@ def test_every_public_callable_returns_or_raises_a_survey_risk_error(name, pool)
             return
     if fn not in _RECORDS:
         assert all(map(math.isfinite, _floats(result))), result
+
+
+def test_no_public_callable_takes_derived_quantities():
+    """Every public function takes the model and reads its quantities
+    through ``derive``; a parameter that takes them instead would be a
+    second way in that the model's construction does not check."""
+    takers = []
+    for name in _CALLABLES:
+        fn = getattr(surveyrisk, name)
+        if isinstance(fn, enum.EnumMeta) or (
+                isinstance(fn, type) and issubclass(fn, BaseException)):
+            continue  # one value or one message, as in _parameters
+        # annotations are strings: the package uses postponed evaluation
+        takers += [f"{name}({p.name})"
+                   for p in inspect.signature(fn).parameters.values()
+                   if "DerivedQuantities" in str(p.annotation)]
+    assert takers == []
 
 
 @pytest.mark.parametrize("enum_class", [EstimatorKind, RssKind, Decision, AdviceContext])

@@ -25,7 +25,7 @@ from helpers import (
     risk_full_model,
 )
 
-UNIFORM = derive(bundled_model("example1-uniform100x2"))
+UNIFORM = bundled_model("example1-uniform100x2")
 
 
 def test_full_model_formula():
@@ -92,12 +92,11 @@ def test_closed_forms_match_general_expansions():
     rng = np.random.default_rng(11)
     for _ in range(100):
         model = random_model(rng)
-        dq = derive(model)
         n = int(rng.integers(10, 5000))
         n_star = int(rng.integers(10, 5000))
         for kind in EstimatorKind:
             ns = None if kind is EstimatorKind.PRESENT else n_star
-            a = risk_app(kind, dq, n, ns).total
+            a = risk_app(kind, model, n, ns).total
             b = risk_app_closed_form(kind, model, n, ns)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -108,22 +107,22 @@ def test_present_closed_form_equals_full_model_formula():
     rng = np.random.default_rng(13)
     for _ in range(50):
         model = random_model(rng)
-        dq = derive(model)
         n = int(rng.integers(10, 3000))
-        a = risk_app(EstimatorKind.PRESENT, dq, n).total
-        b = risk_full_model(int(dq.p_total), inverse_cell_sum(model), n)
+        a = risk_app(EstimatorKind.PRESENT, model, n).total
+        b = risk_full_model(derive(model).p_total, inverse_cell_sum(model), n)
         assert math.isclose(a, b, rel_tol=1e-12)
 
 
 def test_gap_equals_difference_of_totals():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        dq = derive(random_model(rng))
+        model = random_model(rng)
+        dq = derive(model)
         n = int(rng.integers(10, 2000))
         ns = int(rng.integers(10, 2000))
-        pre = risk_app(EstimatorKind.PRESENT, dq, n).total
-        pri = risk_app(EstimatorKind.PRIOR, dq, n, ns).total
-        poo = risk_app(EstimatorKind.POOLED, dq, n, ns).total
+        pre = risk_app(EstimatorKind.PRESENT, model, n).total
+        pri = risk_app(EstimatorKind.PRIOR, model, n, ns).total
+        poo = risk_app(EstimatorKind.POOLED, model, n, ns).total
         assert abs(gap(EstimatorKind.PRIOR, dq, n, ns) - (pre - pri)) <= 1e-15 * 100
         assert abs(gap(EstimatorKind.POOLED, dq, n, ns) - (pre - poo)) <= 1e-15 * 100
 
@@ -145,11 +144,11 @@ def test_gap_present_prior_at_equal_sizes():
 
 
 def test_gap_reference_values():
-    assert math.isclose(gap(EstimatorKind.PRIOR, UNIFORM, 200, 200),
+    assert math.isclose(gap(EstimatorKind.PRIOR, derive(UNIFORM), 200, 200),
                         -0.002475, abs_tol=1e-9)
-    assert math.isclose(gap(EstimatorKind.POOLED, UNIFORM, 200, 200),
+    assert math.isclose(gap(EstimatorKind.POOLED, derive(UNIFORM), 200, 200),
                         1.71875e-5, abs_tol=1e-12)
-    assert math.isclose(gap(EstimatorKind.POOLED, UNIFORM, 90, 1000),
+    assert math.isclose(gap(EstimatorKind.POOLED, derive(UNIFORM), 90, 1000),
                         -0.006085554173537789, abs_tol=1e-15)
 
 
@@ -157,10 +156,11 @@ def test_gap_reference_values():
 def test_gap_of_a_kind_that_is_not_a_member_is_refused(bad):
     """A kind outside the enum used to fall through to the pooled branch:
     ``"prior"`` on breast-cancer gave the pooled gap at (200, 600)."""
-    dq = derive(bundled_model("example2-breast-cancer"))
+    model = bundled_model("example2-breast-cancer")
+    dq = derive(model)
     args = (dq.s.tolist(), dq.marginals.tolist(), 200, 600)
-    want = (risk_app(EstimatorKind.PRESENT, dq, 200).total
-            - risk_app(EstimatorKind.PRIOR, dq, 200, 600).total)
+    want = (risk_app(EstimatorKind.PRESENT, model, 200).total
+            - risk_app(EstimatorKind.PRIOR, model, 200, 600).total)
     assert abs(gap_first_stage(EstimatorKind.PRIOR, *args) - want) <= 1e-13
     # the present kind ignores n*, like every other entry point
     assert gap_first_stage(EstimatorKind.PRESENT, *args[:3], None) == 0.0
@@ -185,22 +185,22 @@ def test_gap_present_pooled_positive_at_tiny_prior():
 def test_pooled_always_beats_prior_in_expansion():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        dq = derive(random_model(rng))
+        model = random_model(rng)
         n = int(rng.integers(5, 3000))
         ns = int(rng.integers(1, 3000))
-        poo = risk_app(EstimatorKind.POOLED, dq, n, ns).total
-        pri = risk_app(EstimatorKind.PRIOR, dq, n, ns).total
+        poo = risk_app(EstimatorKind.POOLED, model, n, ns).total
+        pri = risk_app(EstimatorKind.PRIOR, model, n, ns).total
         assert poo < pri
 
 
 def test_risk_decreases_in_n():
     rng = np.random.default_rng(29)
     for _ in range(20):
-        dq = derive(random_model(rng))
+        model = random_model(rng)
         ns = int(rng.integers(50, 500))
         for kind in EstimatorKind:
             arg = None if kind is EstimatorKind.PRESENT else ns
-            values = [risk_app(kind, dq, n, arg).total
+            values = [risk_app(kind, model, n, arg).total
                       for n in range(20, 400, 20)]
             assert all(a > b for a, b in zip(values, values[1:]))
 

@@ -341,7 +341,7 @@ def _approximate(function, name, variant, n, n_star):
     model = bundled_model(name)
     dq = derive(model)
     if function == "risk_app":
-        r = risk_app(EstimatorKind(variant), dq, n, n_star)
+        r = risk_app(EstimatorKind(variant), model, n, n_star)
         return (r.first_order, r.second_order, r.total)
     if function == "risk_gap_present_prior":
         return (gap(EstimatorKind.PRIOR, dq, n, n_star),)

@@ -19,7 +19,6 @@ from surveyrisk import (
     derive,
 )
 from surveyrisk import (
-    DerivedQuantities,
     EstimatorKind,
     ProbabilityEstimate,
     RssKind,
@@ -127,8 +126,8 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: risk_app(EstimatorKind.PRESENT, _BREAST_CANCER, 200),
-     "DerivedQuantities of derive"),
+    (lambda: risk_app(EstimatorKind.PRESENT, derive(_BREAST_CANCER), 200),
+     "TwoStageModel, got DerivedQuantities"),
     (lambda: simulate_risk(EstimatorKind.PRESENT, "example2-breast-cancer", 200),
      "TwoStageModel, got str"),
     (lambda: required_sample_size(RssQuery(RssKind.PRIOR_TO_PRESENT, 400),
@@ -153,13 +152,17 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
     (lambda: advise_from_marginals((2, 2), None, 200, 600),
      "marginals must be a sequence, got NoneType"),
     (lambda: advise_from_marginals((2, 2), "ab", 200, 600),
-     "'a', not a real number"),
+     "marginals must be a sequence, got str"),
     (lambda: advise_from_marginals((2, 2), ["0.5", "0.5"], 200, 600),
      "'0.5', not a real number"),
     (lambda: advise(_COUNTS, None), "group_sizes must be a sequence"),
     (lambda: build_model(None), "raw_cells must be a sequence"),
     (lambda: build_model([[0.5], [0.5]], labels=5),
      "labels must be a sequence, got int"),
+    (lambda: build_model([[0.5], [0.5]], labels="ab"),
+     "labels must be a sequence, got str"),
+    (lambda: TwoStageModel(labels="ab", cells=(np.array([0.5]), np.array([0.5]))),
+     "labels must be a sequence, got str"),
     (lambda: SurveyCounts(present=None), "present counts must be a sequence"),
     (lambda: SurveyCounts(present=(1, 2)),
      "present counts of group 0 must be a sequence, got int"),
@@ -174,20 +177,22 @@ _COUNTS = SurveyCounts(present=((2, 2), (3, 3)), prior=(8, 2))
      "group 0 must be real numbers within the float range"),
     (lambda: kl_divergence([10**400, 0.5], [0.5, 0.5]),
      "estimate must be real numbers within the float range"),
-], ids=["risk_app-model", "simulate_risk-name", "required_sample_size-derived",
+], ids=["risk_app-derived", "simulate_risk-name", "required_sample_size-derived",
         "discard_probability-derived", "chain_rule-derived", "estimate-tuple",
         "advise-tuple", "bundled_model-unknown", "chain_rule-tuple",
         "kl_divergence-model", "required_sample_size-tuple",
         "advise_from_marginals-model", "advise_from_marginals-none",
         "advise_from_marginals-string", "advise_from_marginals-strings",
         "advise-none", "build_model-none", "build_model-int-labels",
+        "build_model-str-labels", "TwoStageModel-str-labels",
         "SurveyCounts-none", "SurveyCounts-flat", "ProbabilityEstimate-none",
         "bundled_model-list", "build_model-strings", "kl_divergence-strings",
         "kl_divergence-bytes", "build_model-overflow", "kl_divergence-overflow"])
 def test_an_argument_of_the_wrong_type_raises_domain_error(call, message):
-    """A model, derived quantities or counts of the wrong type, and an
-    unknown bundled name, raise DomainError, a SurveyRiskError that names
-    what was wanted, rather than an AttributeError or KeyError."""
+    """A model, counts or labels of the wrong type (derived quantities for
+    a model, one string for the labels), and an unknown bundled name, raise
+    DomainError, a SurveyRiskError that names what was wanted, rather than
+    an AttributeError or KeyError, or labels split into characters."""
     with pytest.raises(DomainError, match=message) as caught:
         call()
     assert isinstance(caught.value, SurveyRiskError)
@@ -220,28 +225,25 @@ _OVERFLOWING_RISK = [[2.3e-308] * 3 + [0.5 - 6.9e-308], [0.5]]
     (lambda: advise_from_marginals((1, 1), [10**400, 1.0], 200, 600),
      "group 0 is 1000.*, not finite"),
     (lambda: derive(build_model(_OVERFLOWING_A)), "reciprocal cell sums"),
-    (lambda: risk_app(EstimatorKind.PRESENT, derive(build_model(_OVERFLOWING_RISK)),
-                      100), "the risk expansion passes the float range"),
+    (lambda: risk_app(EstimatorKind.PRESENT, build_model(_OVERFLOWING_RISK), 100),
+     "the risk expansion passes the float range"),
     (lambda: required_sample_size(RssQuery(RssKind.PRESENT_TO_POOLED, 100, 100),
                                   build_model(_OVERFLOWING_RISK)),
      "the risk expansion passes the float range"),
-    (lambda: risk_app(EstimatorKind.PRESENT,
-                      DerivedQuantities(None, None, None, None, None, None), 100),
-     "a DerivedQuantities needs the fields that derive"),
-    (lambda: risk_app(EstimatorKind.PRESENT, derive(_BREAST_CANCER), 10**400),
+    (lambda: risk_app(EstimatorKind.PRESENT, _BREAST_CANCER, 10**400),
      "n must be an integer within the float range"),
-    (lambda: risk_app(EstimatorKind.POOLED, derive(_BREAST_CANCER), 10**308, 10**308),
+    (lambda: risk_app(EstimatorKind.POOLED, _BREAST_CANCER, 10**308, 10**308),
      r"n \+ n\* must be within the float range"),
 ], ids=["build_model-subnormal", "build_model-underflow", "build_model-sum-overflow",
         "TwoStageModel-subnormal", "advise_from_marginals-subnormal",
         "advise_from_marginals-overflow", "advise_from_marginals-huge-int",
         "derive-overflow", "risk_app-overflow", "required_sample_size-overflow",
-        "risk_app-hollow", "risk_app-huge-n", "risk_app-sizes-past-float-range"])
+        "risk_app-huge-n", "risk_app-sizes-past-float-range"])
 def test_float_range_edges_raise_domain_error(call, message):
-    """Subnormal cells and marginals, sums, coefficients, risks, statistics
-    and sizes past the float range, and derived quantities built directly
-    raise DomainError where they enter, not a builtin error, an infinite
-    risk, a sample size solved on one, or a decision on a NaN statistic."""
+    """Subnormal cells and marginals, and sums, coefficients, risks,
+    statistics and sizes past the float range, raise DomainError where
+    they enter, not a builtin error, an infinite risk, a sample size
+    solved on one, or a decision on a NaN statistic."""
     with pytest.raises(DomainError, match=message):
         call()
 

@@ -142,7 +142,7 @@ def test_estimate_fields():
 def test_mean_matches_expansion_at_large_n():
     """Second-order accuracy: at n = 10^4 the expansion and the simulation
     agree to within Monte Carlo noise."""
-    app = risk_app(EstimatorKind.PRESENT, derive(UNIFORM_2X2), 10_000).total
+    app = risk_app(EstimatorKind.PRESENT, UNIFORM_2X2, 10_000).total
     cfg = SimulationConfig(replications=20_000, seed=1)
     r = simulate_risk(EstimatorKind.PRESENT, UNIFORM_2X2, 10_000, None, cfg)
     assert abs(r.mean_loss - app) <= 3.0 * r.std_error + 1e-8
@@ -336,7 +336,7 @@ def test_marginals_past_what_numpy_draws_raise_domain_error():
     for kind in EstimatorKind:
         with pytest.raises(DomainError, match="sum to 1.0000000005 > .*renormalize"):
             simulate_risk(kind, model, 10**5, 200, cfg)
-    assert math.isfinite(risk_app(EstimatorKind.PRESENT, derive(model), 10**5).total)
+    assert math.isfinite(risk_app(EstimatorKind.PRESENT, model, 10**5).total)
 
 
 def test_the_engine_refuses_exactly_the_marginals_numpy_refuses():
@@ -621,12 +621,12 @@ def test_fractional_or_bool_sizes_are_refused(bad):
     dq = derive(BREAST_CANCER)
     for kind in EstimatorKind:
         with pytest.raises(DomainError):
-            risk_app(kind, dq, bad, 600)
+            risk_app(kind, BREAST_CANCER, bad, 600)
         with pytest.raises(DomainError):
             risk_app_closed_form(kind, BREAST_CANCER, bad, 600)
     for kind in (EstimatorKind.PRIOR, EstimatorKind.POOLED):
         with pytest.raises(DomainError):
-            risk_app(kind, dq, 200, bad)
+            risk_app(kind, BREAST_CANCER, 200, bad)
         with pytest.raises(DomainError):
             risk_app_closed_form(kind, BREAST_CANCER, 200, bad)
     with pytest.raises(DomainError):
@@ -669,7 +669,7 @@ def test_an_estimator_kind_that_is_not_a_member_is_refused(bad):
                           prior=(26, 63, 67, 40, 5))
     named = re.escape(repr(bad))
     with pytest.raises(DomainError, match=named):
-        risk_app(bad, derive(BREAST_CANCER), 200, 600)
+        risk_app(bad, BREAST_CANCER, 200, 600)
     with pytest.raises(DomainError, match=named):
         simulate_risk(bad, BREAST_CANCER, 200, 600,
                       SimulationConfig(replications=500, seed=1))
@@ -698,16 +698,16 @@ def test_seed_outside_the_unsigned_64_bit_integers_is_refused(bad):
 def test_expansion_limits_other_than_the_prior_floor_are_refused():
     """n* = inf is the prior estimator's documented limit and nothing
     else's; a NaN size used to give a NaN risk."""
-    dq = derive(BREAST_CANCER)
-    floor = risk_app(EstimatorKind.PRIOR, dq, 200, math.inf)
-    assert floor.total < risk_app(EstimatorKind.PRIOR, dq, 200, 10**9).total
+    floor = risk_app(EstimatorKind.PRIOR, BREAST_CANCER, 200, math.inf)
+    assert floor.total < risk_app(EstimatorKind.PRIOR, BREAST_CANCER, 200,
+                                  10**9).total
     for kind, n_star in ((EstimatorKind.POOLED, math.inf),
                          (EstimatorKind.PRIOR, math.nan),
                          (EstimatorKind.PRIOR, -math.inf)):
         with pytest.raises(DomainError):
-            risk_app(kind, dq, 200, n_star)
+            risk_app(kind, BREAST_CANCER, 200, n_star)
     with pytest.raises(DomainError):
-        risk_app(EstimatorKind.PRESENT, dq, math.inf)
+        risk_app(EstimatorKind.PRESENT, BREAST_CANCER, math.inf)
     with pytest.raises(DomainError):
         risk_app_closed_form(EstimatorKind.PRIOR, BREAST_CANCER, 200,
                              math.inf)
@@ -735,10 +735,9 @@ def test_numpy_integers_match_python_ints_at_every_entry_point():
     assert simulate_risk(EstimatorKind.POOLED, BREAST_CANCER, 60, 300, cfg,
                          workers=np.int8(2)) == want
 
-    dq = derive(BREAST_CANCER)
     for kind in EstimatorKind:
-        want = risk_app(kind, dq, 200, 600)
-        got = risk_app(kind, dq, np.int64(200), np.uint32(600))
+        want = risk_app(kind, BREAST_CANCER, 200, 600)
+        got = risk_app(kind, BREAST_CANCER, np.int64(200), np.uint32(600))
         assert got == want
         assert type(got.n) is int
         assert got.n_star is None or type(got.n_star) is int
@@ -755,10 +754,11 @@ def test_numpy_integers_match_python_ints_at_every_entry_point():
                                            BREAST_CANCER)
         assert type(got) is int
 
-    rec = advise_from_marginals(BREAST_CANCER.group_sizes, dq.marginals.tolist(),
+    marginals = derive(BREAST_CANCER).marginals.tolist()
+    rec = advise_from_marginals(BREAST_CANCER.group_sizes, marginals,
                                 np.int64(200), np.int32(600))
-    assert rec == advise_from_marginals(BREAST_CANCER.group_sizes,
-                                        dq.marginals.tolist(), 200, 600)
+    assert rec == advise_from_marginals(BREAST_CANCER.group_sizes, marginals,
+                                        200, 600)
     assert type(rec.n) is int and type(rec.n_star) is int
 
 

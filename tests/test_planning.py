@@ -36,7 +36,6 @@ from surveyrisk import (
 from helpers import gap
 
 UNIFORM = bundled_model("example1-uniform100x2")
-UNIFORM_DQ = derive(UNIFORM)
 
 
 def test_query_validation():
@@ -85,16 +84,16 @@ def test_smallest_integer_property():
     for n0 in (400, 700, 1000):
         q = RssQuery(kind=RssKind.PRIOR_TO_PRESENT, n0=n0)
         n_star = required_sample_size(q, UNIFORM)
-        target = risk_app(EstimatorKind.PRESENT, UNIFORM_DQ, n0).total
-        at = risk_app(EstimatorKind.PRIOR, UNIFORM_DQ, n0, n_star).total
-        before = risk_app(EstimatorKind.PRIOR, UNIFORM_DQ, n0, n_star - 1).total
+        target = risk_app(EstimatorKind.PRESENT, UNIFORM, n0).total
+        at = risk_app(EstimatorKind.PRIOR, UNIFORM, n0, n_star).total
+        before = risk_app(EstimatorKind.PRIOR, UNIFORM, n0, n_star - 1).total
         assert at <= target < before
 
         qp = RssQuery(kind=RssKind.PRESENT_TO_POOLED, n0=n0, n0_star=n0)
         n = required_sample_size(qp, UNIFORM)
-        target = risk_app(EstimatorKind.POOLED, UNIFORM_DQ, n0, n0).total
-        at = risk_app(EstimatorKind.PRESENT, UNIFORM_DQ, n).total
-        before = risk_app(EstimatorKind.PRESENT, UNIFORM_DQ, n - 1).total
+        target = risk_app(EstimatorKind.POOLED, UNIFORM, n0, n0).total
+        at = risk_app(EstimatorKind.PRESENT, UNIFORM, n).total
+        before = risk_app(EstimatorKind.PRESENT, UNIFORM, n - 1).total
         assert at <= target < before
 
 
@@ -187,7 +186,7 @@ def _sim_query(kind):
 
 
 def _app_total(kind, n, n_star):
-    return risk_app(kind, UNIFORM_DQ, n, n_star).total
+    return risk_app(kind, UNIFORM, n, n_star).total
 
 
 def _probed_curve(kind, mean_loss):
@@ -281,9 +280,9 @@ APP_CALLS = {
 def test_analytic_solve_probes_by_doubling_from_n0(monkeypatch, kind):
     calls = []
 
-    def recording(k, dq, n, n_star=None):
+    def recording(k, model, n, n_star=None):
         calls.append((k.value, n, n_star))
-        return risk_app(k, dq, n, n_star)
+        return risk_app(k, model, n, n_star)
 
     monkeypatch.setattr(planning, "risk_app", recording)
     required_sample_size(RssQuery(kind=kind, n0=400, n0_star=400), UNIFORM)
@@ -292,7 +291,7 @@ def test_analytic_solve_probes_by_doubling_from_n0(monkeypatch, kind):
 
 def test_advise_from_truth_marginals_pathological_point():
     rec = advise_from_marginals(UNIFORM.group_sizes,
-                                UNIFORM_DQ.marginals.tolist(), 90, 1000)
+                                derive(UNIFORM).marginals.tolist(), 90, 1000)
     assert isinstance(rec, Recommendation)
     assert rec.context is AdviceContext.POST_SURVEY
     assert rec.decision is Decision.USE_PRESENT_ONLY
