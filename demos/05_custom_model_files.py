@@ -43,10 +43,10 @@ prior
 210 240 50
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="surveyrisk-demo-"))
-model_path = workdir / "coffee.model"
-model_path.write_text(MODEL_TEXT)
-model = load_model(str(model_path))
+with tempfile.TemporaryDirectory(prefix="surveyrisk-demo-") as workdir:
+    model_path = Path(workdir) / "coffee.model"
+    model_path.write_text(MODEL_TEXT)
+    model = load_model(str(model_path))
 counts = parse_counts_text(COUNTS_TEXT)
 
 print(f"loaded groups {dict(zip(model.labels, model.group_sizes))}"

@@ -27,18 +27,20 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
   3. second-stage cells: per group, multinomial(group total, conditionals),
      a wide group in row chunks taken in row order, which consume the
      stream exactly as one call over all rows would;
-  4. prior uniforms: a (rows, I-1) array, drawn whatever the kind; the
-     prior counts are a chained binomial inverse-CDF of them per group,
-     exactly the integers ``scipy.stats.binom.ppf`` returns, reached
-     through a checked guess: a skew-corrected normal quantile, accepted
-     or moved by one count where a CDF table brackets the uniform, and
-     ``binom.ppf`` itself for the few rows it does not.  The table holds
-     the group's R trial counts by the C guessed counts: one row of
-     ``binom.cdf``, then R - 1 steps of the exact recurrence in the trial
-     count, each a convex combination, so it stays within about 1e-13 of
-     the exact CDF relative, a tenth of the check's margin.  Past R = 256
-     or R * (C + R) = 16 * rows it gives way to ``binom.cdf`` at the
-     distinct (trials, count) points, as in example3-household's sim tables.
+  4. prior uniforms: a (rows, I-1) array, drawn whatever the kind, and
+     kept with their clamped normal quantiles, computed once; the prior
+     counts are a chained binomial inverse-CDF of the uniforms per group,
+     exactly the integers ``scipy.stats.binom.ppf`` returns, reached at
+     each n* through a checked guess: a skew-corrected normal quantile,
+     accepted or moved by one count where a CDF table brackets the
+     uniform, and ``binom.ppf`` itself for the few rows it does not.  The
+     table holds the group's R trial counts by the C guessed counts: one
+     row of ``binom.cdf``, then R - 1 steps of the exact recurrence in the
+     trial count, each a convex combination, so it stays within about
+     1e-13 of the exact CDF relative, a tenth of the check's margin.  Past
+     R = 256 or R * (C + R) = 16 * rows it gives way to ``binom.cdf`` at
+     the distinct (trials, count) points, as in example3-household's sim
+     tables.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -69,19 +71,27 @@ of rel_entr(k / t, v) over its range of totals t, the counts k drawn so
 far and its distinct conditionals v, while the table has at most one
 entry per ``_KL_TABLE_CELLS_PER_ENTRY`` of the block's cells; the
 table's arguments are the same int64 true divisions, so D keeps its
-bytes.  The identity is exact, the rounding is not the same, so engine
-losses equal ``kl_divergence`` of the library's estimate to within
-1e-15 + 1e-12 * loss, not bitwise.  The absolute term is what counts at
-large n: the rounding error of either sum stays near a unit in the last
-place of 1, while the loss shrinks like 1/n.
+bytes.  The first-stage terms rel_entr(num / N, m_f), for the kind's
+counts num and size N, are gathered the same way from a table over the
+block's range of num, while that range is no longer than the block.  A
+row's I terms are summed by column adds in group order, numpy's own
+order for a row sum of at most 7 groups.  The identity is exact, the
+rounding is not the same, so engine losses equal ``kl_divergence`` of
+the library's estimate to within 1e-15 + 1e-12 * loss, not bitwise.
+The absolute term is what counts at large n: the rounding error of
+either sum stays near a unit in the last place of 1, while the loss
+shrinks like 1/n.
 
 Memo of draws.  A block's present surveys and prior uniforms depend
 only on (model cells, group sizes, n, seed, replications), never on the
 kind, n* or ``workers``.  The module keeps one slot (:class:`_Draws`) per
 such key, least recently used first, and drops the oldest while the slots
 together could exceed ``_MEMO_CAP_BYTES``; a key whose slot alone could
-exceed it is kept nowhere.  A hit returns exactly what a fresh draw
-would, so results do not change.
+exceed it is kept nowhere.  A slot's entry for a block holds the
+present totals, the second-stage KLs, the discard count, the prior
+uniforms with their normal quantiles, and the prior counts of the latest
+n*.  A hit returns exactly what a fresh draw would, so results do not
+change.
 """
 
 from __future__ import annotations
@@ -265,13 +275,18 @@ def _cdf_table(r_lo: int, R: int, c_lo: int, C: int, q: float) -> np.ndarray:
     return table
 
 
-def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
+def _binom_inverse(
+    u: np.ndarray, z: np.ndarray, r: np.ndarray, q: float
+) -> np.ndarray:
     """``np.maximum(binom.ppf(u, r, q), 0)`` as int64, for int64 trial
     counts r and one probability q.
 
-    A skew-corrected (Cornish-Fisher) normal quantile guesses each count
-    k; the guess stands where cdf(k - 1) < u <= cdf(k), with u clear of
-    both values by ``_TIE_RTOL``.  The CDF comes from one table
+    ``z`` is ``np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)``, which a block
+    computes once for every n*; it only feeds the guess, so the counts
+    are exact whatever it holds.  A skew-corrected (Cornish-Fisher)
+    normal quantile at z guesses each count k; the guess stands where
+    cdf(k - 1) < u <= cdf(k), with u clear of both values by
+    ``_TIE_RTOL``.  The CDF comes from one table
     (:func:`_cdf_table`) over the R trial counts of the rows and the C
     guessed counts widened by one each side, which also corrects a guess
     one count off; it is used while R <= ``_TABLE_MAX_TRIALS`` and
@@ -282,7 +297,6 @@ def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
     """
     mean = r * q
     sd = np.sqrt(mean * (1.0 - q))
-    z = np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)
     guess = np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
     k = np.clip(guess, 0, r).astype(np.int64)
     lo, hi = u * (1.0 - _TIE_RTOL), u * (1.0 + _TIE_RTOL)
@@ -323,9 +337,12 @@ def _binom_inverse(u: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
     return k
 
 
-def _draw_prior(u: np.ndarray, marginals: np.ndarray, n_star: int) -> np.ndarray:
+def _draw_prior(
+    u: np.ndarray, z: np.ndarray, marginals: np.ndarray, n_star: int
+) -> np.ndarray:
     """Multinomial(n*, marginals) per row of the (rows, I-1) uniforms ``u``
-    via a chained binomial inverse CDF.
+    via a chained binomial inverse CDF, ``z`` their clamped normal
+    quantiles (see :func:`_binom_inverse`).
 
     A pure function of ``u``: the same uniforms at every n* keep draws
     comonotone across n*.  Group i is drawn from what is left with
@@ -338,7 +355,7 @@ def _draw_prior(u: np.ndarray, marginals: np.ndarray, n_star: int) -> np.ndarray
     values = marginals.tolist()
     for i in range(I - 1):
         q = values[i] / math.fsum(values[i:])
-        draw = _binom_inverse(u[:, i], remaining, q)
+        draw = _binom_inverse(u[:, i], z[:, i], remaining, q)
         out[:, i] = draw
         remaining -= draw
     out[:, I - 1] = remaining
@@ -348,12 +365,13 @@ def _draw_prior(u: np.ndarray, marginals: np.ndarray, n_star: int) -> np.ndarray
 class _Draws:
     """The draws of one key (model cells, group sizes, n, config), made
     block by block on demand.  Block b keeps one entry (totals,
-    second-stage KLs, discarded, prior uniforms, n*, prior counts), each
-    array the one the block drew, marked read-only; the prior counts are
-    those of the latest n*, so a prior and a pooled call at one (n, n*)
-    draw them once.  An entry is replaced whole, so threads that share
-    the object never see half of one.  With ``keep`` false nothing is
-    stored and every block draws afresh.  Each group's distinct
+    second-stage KLs, discarded, prior uniforms, their clamped normal
+    quantiles, n*, prior counts), each array the one the block drew,
+    marked read-only; the prior counts are those of the latest n*, so a
+    prior and a pooled call at one (n, n*) draw them once.  An entry is
+    replaced whole, so threads that share the object never see half of
+    one.  With ``keep`` false nothing is stored and every block draws
+    afresh.  Each group's distinct
     conditionals are found once, for the KL table of step 3.
     """
 
@@ -404,13 +422,15 @@ class _Draws:
                         kl = table.take(at)
                     d[lo:lo + step, gi] = np.sum(kl, axis=1)
             u = gen.random((rows, self.dq.marginals.size - 1))
-            totals.flags.writeable = d.flags.writeable = u.flags.writeable = False
-            entry = (totals, d, discarded, u, None, None)
-        totals, d, discarded, u, drawn, xstar = entry
+            z = np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)
+            for array in (totals, d, u, z):
+                array.flags.writeable = False
+            entry = (totals, d, discarded, u, z, None, None)
+        totals, d, discarded, u, z, drawn, xstar = entry
         if n_star is not None and drawn != n_star:
-            xstar = _draw_prior(u, self.dq.marginals, n_star)
+            xstar = _draw_prior(u, z, self.dq.marginals, n_star)
             xstar.flags.writeable = False
-            entry = (totals, d, discarded, u, n_star, xstar)
+            entry = (totals, d, discarded, u, z, n_star, xstar)
         if self.keep:
             self._entries[b] = entry
         return totals, d, discarded, None if n_star is None else xstar
@@ -422,14 +442,14 @@ _memo_lock = threading.Lock()
 
 
 def _slot_bytes(key: tuple) -> int:
-    """Every array a slot can hold: 8 * R * (4I - 1) bytes of entries for
+    """Every array a slot can hold: 8 * R * (5I - 2) bytes of entries for
     I groups and R replications rounded up to whole blocks, and 32 bytes
     per cell for the key's cells, the conditionals and their distinct
     values and indices.  The rounding keeps the slots few, so that what
     each one holds besides its arrays stays small next to the cap."""
     cells, group_sizes, _, config = key
     rows = -(-config.replications // BLOCK_SIZE) * BLOCK_SIZE
-    return 8 * rows * (4 * len(group_sizes) - 1) + 4 * len(cells)
+    return 8 * rows * (5 * len(group_sizes) - 2) + 4 * len(cells)
 
 
 def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
@@ -453,10 +473,25 @@ def _block_losses(
 ) -> tuple[np.ndarray, int]:
     """Per-replication losses of block b by the chain rule, and its
     discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
-    first-stage estimate q_f."""
+    first-stage estimate q_f = num / size."""
     totals, second_stage, discarded, xstar = draws.block(b, n_star)
-    first = kind.first_stage(totals, xstar) / kind.first_stage(draws.n, n_star)
-    losses = np.sum(rel_entr(first, draws.dq.marginals) + first * second_stage, axis=1)
+    num, size = kind.first_stage(totals, xstar), kind.first_stage(draws.n, n_star)
+    first, marginals = num / size, draws.dq.marginals
+    lo, hi = int(num.min()), int(num.max())
+    if hi - lo < num.shape[0]:
+        # row k - lo is rel_entr(k / size, m_f): the same int64 true division
+        # and the same ufunc as the line below, so every term keeps its bytes
+        table = rel_entr(np.arange(lo, hi + 1)[:, None] / size, marginals).ravel()
+        at = (num - lo) * marginals.size
+        at += np.arange(marginals.size)
+        terms = table.take(at)
+    else:
+        terms = rel_entr(first, marginals)
+    terms += first * second_stage
+    # numpy's order for np.sum(axis=1) up to 7 groups; pairwise from 8
+    losses = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        losses += column
     return losses, discarded
 
 

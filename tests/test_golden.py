@@ -5,7 +5,10 @@ std_error, discard_rate) for one (model, kind, n, n*, replications,
 seed).  The cases cover all three bundled models, the prior and pooled
 kinds, a present size with discards (breast-cancer at n = 60),
 replication counts that are not multiples of ``BLOCK_SIZE`` and a seed
-above 2**63.
+above 2**63.  The three kinds are also pinned on ``NINE_GROUPS``, a
+9-group model: from 8 groups on, the engine's column-order sum of a
+loss's group terms is not numpy's pairwise row sum, and the last bits
+of these values record which order was taken.
 
 ``RSS_SIMULATED`` pins the simulated required sample size of three
 (model, kind, n0, n0*) queries at two seeds: the answers the sample-size
@@ -45,6 +48,7 @@ from surveyrisk import (
     RssQuery,
     SimulationConfig,
     advise_from_marginals,
+    build_model,
     bundled_model,
     derive,
     required_sample_size,
@@ -54,6 +58,11 @@ from surveyrisk import (
 from surveyrisk import montecarlo
 from surveyrisk.cli import _STAGES, run
 from helpers import gap
+
+#: nine groups of one to four cells, the smallest marginal 2/53
+NINE_GROUPS = build_model(
+    [[3, 1], [2, 2, 1], [5], [1, 1], [4, 3, 2, 1], [2], [6, 3], [1, 2, 1], [7, 5]],
+    renormalize=True)
 
 #: (model, kind, n, n*, replications, seed) -> (mean_loss, std_error, discard_rate)
 SIMULATED = {
@@ -73,6 +82,12 @@ SIMULATED = {
         (0.0302233173813171, 7.913868468156329e-05, 0.0),
     ("example3-household", "pooled", 300, 2000, 4100, 2**63 + 5):
         (0.09473699475566272, 0.0002824123512110953, 0.00048756704046806434),
+    ("nine-groups", "present", 150, None, 5000, 29):
+        (0.06620794029094347, 0.00030403731256502427, 0.006359300476947536),
+    ("nine-groups", "prior", 150, 600, 5000, 29):
+        (0.04984648815498935, 0.00028199597821277207, 0.006359300476947536),
+    ("nine-groups", "pooled", 150, 600, 5000, 29):
+        (0.04775729887245543, 0.00026902056425923875, 0.006359300476947536),
 }
 
 #: (model, kind, n0, n0*, replications, seed) -> simulated required sample size
@@ -355,7 +370,8 @@ def _approximate(function, name, variant, n, n_star):
 
 def _simulate(name, kind, n, n_star, reps, seed):
     cfg = SimulationConfig(replications=reps, seed=seed)
-    r = simulate_risk(EstimatorKind(kind), bundled_model(name), n, n_star, cfg)
+    model = NINE_GROUPS if name == "nine-groups" else bundled_model(name)
+    r = simulate_risk(EstimatorKind(kind), model, n, n_star, cfg)
     return (r.mean_loss, r.std_error, r.discard_rate)
 
 

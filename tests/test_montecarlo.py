@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri, rel_entr
 from scipy.stats import binom
 
 from surveyrisk import (
@@ -463,11 +464,16 @@ def _band_grid():
         yield u, r, q
 
 
+def _quantiles(u):
+    """The clamped normal quantiles that a block keeps with its uniforms."""
+    return np.clip(ndtri(u), -montecarlo._Z_CLAMP, montecarlo._Z_CLAMP)
+
+
 def test_binom_inverse_matches_binom_ppf_exactly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for u, r, q in _inverse_grid():
-            got = _binom_inverse(u, r.astype(np.int64), q)
+            got = _binom_inverse(u, _quantiles(u), r.astype(np.int64), q)
             want = np.maximum(binom.ppf(u, r, q), 0.0)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (q, np.flatnonzero(got != want))
@@ -486,7 +492,7 @@ def test_bands_up_to_the_cap_take_the_cdf_table(monkeypatch):
     monkeypatch.setattr(montecarlo, "_cdf_table", counted)
     for u, r, q in _band_grid():
         tables.clear()
-        _binom_inverse(u, r, q)
+        _binom_inverse(u, _quantiles(u), r, q)
         R = int(np.ptp(r)) + 1
         assert tables == ([R] if R <= 256 else []), (q, R)
 
@@ -577,7 +583,7 @@ def test_few_chained_draw_rows_reach_binom_ppf(monkeypatch, name, n_star):
     monkeypatch.setattr(montecarlo, "binom", Counted())
     marginals = derive(bundled_model(name)).marginals
     u = np.random.default_rng(0).random((BLOCK_SIZE, marginals.size - 1))
-    counts = montecarlo._draw_prior(u, marginals, n_star)
+    counts = montecarlo._draw_prior(u, _quantiles(u), marginals, n_star)
     assert (counts.sum(axis=1) == n_star).all()
     assert sum(ppf_rows) < 0.01 * u.size
 
@@ -593,7 +599,8 @@ def test_prior_counts_are_comonotone_in_n_star(weights, a, b, seed):
     u = np.random.default_rng(seed).random((64, marginals.size - 1))
     u[0], u[1] = 0.0, 1.0 - 2.0**-53
     small, large = sorted((a, b))
-    counts = [montecarlo._draw_prior(u, marginals, n_star) for n_star in (small, large)]
+    counts = [montecarlo._draw_prior(u, _quantiles(u), marginals, n_star)
+              for n_star in (small, large)]
     for n_star, x in zip((small, large), counts):
         assert (x >= 0).all()
         assert (x.sum(axis=1) == n_star).all()
@@ -875,11 +882,11 @@ def test_call_over_the_memo_cap_keeps_no_slot(present_draws, monkeypatch):
 
 def test_memo_entries_are_read_only_and_the_cap_sees_their_size(
         present_draws, monkeypatch):
-    """Each array an entry stores, prior uniforms included, is the one the
-    block drew, marked read-only.  The cap counts those arrays' bytes with
-    the replications rounded up to whole blocks, plus 32 bytes per cell,
-    which cover the key's cells, the conditionals and their distinct
-    values and indices.  Whichever kind calls first, a cap of that count
+    """Each array an entry stores, prior uniforms and their normal
+    quantiles included, is the one the block drew, marked read-only.  The
+    cap counts those arrays' bytes with the replications rounded up to
+    whole blocks, plus 32 bytes per cell, which cover the key's cells,
+    the conditionals and their distinct values and indices.  Whichever kind calls first, a cap of that count
     keeps the slot for all three kinds, and one byte less keeps it for
     none: each call then draws the present surveys again."""
     cfg = SimulationConfig(BLOCK_SIZE + 1, seed=5)
@@ -889,18 +896,18 @@ def test_memo_entries_are_read_only_and_the_cap_sees_their_size(
     nbytes = 0
     for entry in draws._entries:
         arrays = [a for a in entry if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 5
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
             nbytes += array.nbytes
     groups, cells = BREAST_CANCER.n_groups, BREAST_CANCER.total_cells
-    assert nbytes == 8 * cfg.replications * (4 * groups - 1)
+    assert nbytes == 8 * cfg.replications * (5 * groups - 2)
     per_cell = [*draws.dq.conditionals, *(a for pair in draws._distinct for a in pair)]
     assert len(key[0]) + sum(a.nbytes for a in per_cell) <= 32 * cells
     slot = montecarlo._slot_bytes(key)
-    assert slot == 8 * 2 * BLOCK_SIZE * (4 * groups - 1) + 32 * cells
+    assert slot == 8 * 2 * BLOCK_SIZE * (5 * groups - 2) + 32 * cells
     for cap, kept in ((slot, True), (slot - 1, False)):
         monkeypatch.setattr(montecarlo, "_MEMO_CAP_BYTES", cap)
         for first in EstimatorKind:
@@ -945,6 +952,38 @@ def test_concurrent_callers_with_different_keys_get_serial_results():
     for t in threads:
         t.join()
     assert got == [[w] * 3 for w in want]
+
+
+def test_block_losses_gather_equals_the_direct_formula():
+    """Each kind's block losses are bitwise the direct chain-rule sum
+    ``np.sum(rel_entr(first, m) + first * second_stage, axis=1)``, for
+    every bundled model, whose full blocks' first-stage counts span fewer
+    values than the block has rows, and for marginals (0.01, 0.99) at
+    n = n* = 10**6, whose counts span more in every block."""
+    wide = build_model([[0.01], [0.99]])
+    cases = [(bundled_model(name), 200, 600) for name in BUNDLED_MODEL_NAMES]
+    cases.append((wide, 10**6, 10**6))
+    cfg = SimulationConfig(replications=BLOCK_SIZE + 100, seed=29)
+    for model, n, n_star in cases:
+        marginals = derive(model).marginals
+        for kind in EstimatorKind:
+            ns = None if kind is EstimatorKind.PRESENT else n_star
+            _forget_draws()
+            simulate_risk(kind, model, n, ns, cfg)
+            draws = _newest()
+            for b in range(draws.n_blocks):
+                totals, second_stage, _, xstar = draws.block(b, ns)
+                num = kind.first_stage(totals, xstar)
+                first = num / kind.first_stage(n, ns)
+                want = np.sum(rel_entr(first, marginals) + first * second_stage,
+                              axis=1)
+                got = montecarlo._block_losses(kind, draws, b, ns)[0]
+                assert got.tobytes() == want.tobytes(), (model.labels, kind, b)
+                rows = num.shape[0]
+                if model is wide:
+                    assert int(np.ptp(num)) >= rows
+                elif rows == BLOCK_SIZE:
+                    assert int(np.ptp(num)) < rows
 
 
 def test_engine_loss_is_the_library_loss():
