@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -398,6 +399,13 @@ def _seed_int(text: str) -> int:
     return value
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, the default ``--threads``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing fills a fresh namespace per
@@ -426,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulation replications (default 10000)")
     sim_flags.add_argument("--seed", type=_seed_int, default=0,
                            help="simulation seed (default 0)")
-    sim_flags.add_argument("--threads", type=_positive_int, default=1,
-                           help="worker threads; does not change results")
+    sim_flags.add_argument("--threads", type=_positive_int, default=_usable_cores(),
+                           help="worker threads (default: the usable cores, "
+                                "%(default)s here); does not change results")
 
     p_risk = sub.add_parser("risk", parents=[with_model, sim_flags],
                             help="risk of one or all estimators at (n, n*)")

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .errors import DomainError, NotNormalized, ShapeError, ZeroTruth
-from .model import NORMALIZATION_TOL, TwoStageModel, as_floats, as_tuple, derive
+from .model import (NORMALIZATION_TOL, TwoStageModel, as_floats, as_tuple, derive,
+                    fsum_total)
 
 __all__ = [
     "ProbabilityEstimate",
@@ -55,8 +56,7 @@ class ProbabilityEstimate:
             if np.any(g < 0.0) or not np.all(np.isfinite(g)):
                 raise DomainError(f"estimate group {i} has a negative or "
                                   f"non-finite entry")
-        with np.errstate(over="ignore"):  # a sum past the float range is inf
-            total = float(np.sum(self.flat()))
+        total = fsum_total(self.flat().tolist())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"estimate sums to {total!r}")
 
@@ -97,8 +97,7 @@ def kl_divergence(estimate, truth) -> float:
         raise ZeroTruth("truth must be strictly positive and finite")
     if np.any(e < 0.0) or not np.all(np.isfinite(e)):
         raise DomainError("estimate entries must be nonnegative and finite")
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
-        se, st = float(np.sum(e)), float(np.sum(t))
+    se, st = fsum_total(e.tolist()), fsum_total(t.tolist())
     if abs(se - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"estimate sums to {se!r}")
     if abs(st - 1.0) > NORMALIZATION_TOL:

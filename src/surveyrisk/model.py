@@ -187,6 +187,15 @@ def as_floats(x: object, what: str) -> np.ndarray:
                           f"range") from None
 
 
+def fsum_total(values: Iterable[float]) -> float:
+    """``math.fsum`` of finite values, the total compared with 1 for
+    normalization; a total past the float range is inf."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def check_normal(values: object, what: str) -> None:
     """DomainError unless every value is finite and at least the least normal
     float: the rule for the probabilities the risk formulas divide by."""

@@ -38,9 +38,9 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      row of ``binom.cdf``, then R - 1 steps of the exact recurrence in the
      trial count, each a convex combination, so it stays within about
      1e-13 of the exact CDF relative, a tenth of the check's margin.  Past
-     R = 256 or R * (C + R) = 16 * rows it gives way to ``binom.cdf`` at
-     the distinct (trials, count) points, as in example3-household's sim
-     tables.
+     R = 256, or where its first row would hold more values than twice
+     the rows, it gives way to ``binom.cdf`` at the distinct (trials,
+     count) points of the same grid.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -232,12 +232,9 @@ _TIE_RTOL = 1e-12
 #: keeps u = 0 from widening the CDF table's counts
 _Z_CLAMP = 8.3
 
-#: the CDF table spans at most this many trial counts ...
+#: the CDF table spans at most this many trial counts, which bounds the
+#: roundings of its recurrence; a wider grid takes the CDF points
 _TABLE_MAX_TRIALS = 256
-
-#: ... and R * (C + R) at most this many cells per row, for R trial
-#: counts and C counts; larger boxes take the deduplicated CDF points
-_TABLE_CELLS_PER_ROW = 16
 
 
 def _cdf_table(r_lo: int, R: int, c_lo: int, C: int, q: float) -> np.ndarray:
@@ -286,14 +283,15 @@ def _binom_inverse(
     are exact whatever it holds.  A skew-corrected (Cornish-Fisher)
     normal quantile at z guesses each count k; the guess stands where
     cdf(k - 1) < u <= cdf(k), with u clear of both values by
-    ``_TIE_RTOL``.  The CDF comes from one table
-    (:func:`_cdf_table`) over the R trial counts of the rows and the C
-    guessed counts widened by one each side, which also corrects a guess
-    one count off; it is used while R <= ``_TABLE_MAX_TRIALS`` and
-    R * (C + R) <= ``_TABLE_CELLS_PER_ROW`` * rows.  A larger box takes
-    ``binom.cdf`` once per distinct (trials, count) point, which is far
-    fewer points than rows.  Rows the check does not settle are passed
-    to ``binom.ppf``.
+    ``_TIE_RTOL``.  The CDF is read on one grid: the R trial counts of
+    the rows by the C guessed counts widened by one each side, each row's
+    point (r, k - 1) at one index.  It comes from a table over the whole
+    grid (:func:`_cdf_table`), which also corrects a guess one count off,
+    while R <= ``_TABLE_MAX_TRIALS`` and the table's first row, C + R - 1
+    CDF values, costs no more than the points the rows need, at most two
+    per row; otherwise from ``binom.cdf`` once per distinct point.  Rows
+    the check does not settle are passed to ``binom.ppf``, and so is a
+    whole grid whose index would overflow int64 (R * C >= 2**63).
     """
     mean = r * q
     sd = np.sqrt(mean * (1.0 - q))
@@ -304,9 +302,11 @@ def _binom_inverse(
     r_lo, k_lo = int(r.min()), int(k.min())
     R = int(r.max()) - r_lo + 1
     C = int(k.max()) - k_lo + 4  # counts k_lo - 2 .. k_hi + 1
-    if R <= _TABLE_MAX_TRIALS and R * (C + R) <= _TABLE_CELLS_PER_ROW * u.size:
+    if R * C >= 2**63:  # the grid's index would overflow int64
+        return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
+    at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
+    if R <= _TABLE_MAX_TRIALS and C + R - 1 <= 2 * u.size:
         cdf = _cdf_table(r_lo, R, k_lo - 2, C, q).ravel()
-        at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
         # below 2**-1000 the table's subnormal roundings may exceed the margin
         settled = (cdf.take(at) < lo) & (hi < cdf.take(at + 1)) & (u > 2.0**-1000)
         rest = np.flatnonzero(~settled)
@@ -322,14 +322,8 @@ def _binom_inverse(
         k[rest] += below - 2
         rest = rest[~clear | (below == 0) | (below == 4)]
     else:
-        # a CDF point (r, c) is keyed as r * width + c + 1, for the counts
-        # c = k - 1 and c = k; past about 3e9 trials the key overflows int64
-        width = int(r.max()) + 2
-        if width * width > np.iinfo(np.int64).max:
-            return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
-        keys = np.concatenate((r * width + k, r * width + k + 1))
-        points, where = np.unique(keys, return_inverse=True)
-        cdf = binom.cdf(points % width - 1, points // width, q)[where]
+        points, where = np.unique(np.concatenate((at, at + 1)), return_inverse=True)
+        cdf = binom.cdf(points % C + k_lo - 2, points // C + r_lo, q)[where]
         settled = (cdf[:u.size] < lo) & (hi < cdf[u.size:])
         rest = np.flatnonzero(~settled)
     if rest.size:
@@ -523,8 +517,8 @@ def simulate_risk(
     # rounding floor of about 1e-15 and the mean drifts off the risk
     if n > 2**48:
         raise DomainError(f"n must be at most 2**48, got n={n}")
-    # past about 3e9 trials binom.ppf draws every prior count, and it
-    # returns NaN once the count nears 0.75 * 2**52
+    # binom.ppf draws the rows the CDF check leaves, and it returns NaN
+    # once the count nears 0.75 * 2**52
     if n_star is not None and n_star > 2**51:
         raise DomainError(f"n* must be at most 2**51, got n*={n_star}")
     if not isinstance(config, SimulationConfig):

@@ -89,6 +89,7 @@ from .model import (
     as_tuple,
     check_normal,
     derive,
+    fsum_total,
 )
 from .montecarlo import SimulationConfig, simulate_risk
 
@@ -334,10 +335,7 @@ def advise_from_marginals(
                 f"the decision statistic"
             )
     check_normal(marginals, "plug-in marginals")
-    try:
-        total = math.fsum(marginals)
-    except OverflowError:
-        total = math.inf
+    total = fsum_total(marginals)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"plug-in marginals sum to {total!r}, not 1")
     s = [j - 1 for j in _layout(group_sizes)]

@@ -340,6 +340,29 @@ def test_computation_errors_exit_1(capsys):
     assert capsys.readouterr().err.count("error: ParseError") == 2
 
 
+def test_threads_default_to_the_usable_cores():
+    """Where the platform can tell, the cores the process may run on, not
+    every core of the machine."""
+    args = build_parser().parse_args(
+        ["risk", "--model", "example1-uniform100x2", "--estimator", "all",
+         "--method", "sim", "--n", "50"])
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert args.threads == usable
+
+
+def test_default_threads_print_the_bytes_of_one_thread(capsys):
+    """A three-block simulated row is the same with one worker thread and
+    with the default."""
+    args = ["risk", "--model", "example2-breast-cancer", "--estimator", "all",
+            "--method", "sim", "--n", "200", "--nstar", "600", "--reps", "9000",
+            "--precision", "full"]
+    assert run(args + ["--threads", "1"]) == 0
+    one = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == one
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["risk", "--help"]) == 0

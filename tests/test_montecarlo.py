@@ -404,8 +404,8 @@ def _inverse_grid():
 
     Seeded uniforms and trial counts, plus the edges: u = 0, u below
     1e-300, u a few ulps under 1 (where the floating CDF is flat), u
-    within two ulps of a CDF value, r = 0 and r = 1, r above 3e9, and q
-    within 1e-6 of 0 and of 1.
+    within two ulps of a CDF value, r = 0 and r = 1, r above 3e9, bands
+    of r up to 2**51, the largest n*, and q within 1e-6 of 0 and of 1.
 
     Uniforms below 1e-300 are paired with small r only: where cdf(0)
     underflows below u, ``binom.ppf`` itself warns that it cannot
@@ -413,6 +413,7 @@ def _inverse_grid():
     it never asks for such a point.
     """
     rng = np.random.default_rng(20190415)
+    rng_top = np.random.default_rng(251)
     tiny = [0.0, 5e-324, 1e-310, 1e-301]
     top = [1.0 - j * 2.0**-53 for j in range(1, 17)]
     for q in (1e-6, 0.013, 0.25, 0.5, 0.61803, 0.97, 1.0 - 1e-6):
@@ -432,9 +433,13 @@ def _inverse_grid():
         yield u, r, q
         small = np.repeat(np.array([0, 1, 2, 5, 30], dtype=np.int64), len(tiny))
         yield np.tile(tiny, 5), small, q
-        # trial counts too large for the (trials, count) key
+        # trial counts far apart past 3e9: except near q = 0 the grid's
+        # index would overflow int64
         huge = np.array([3_037_000_498, 4 * 10**9, 10**12], dtype=np.int64)
         yield rng.random(30), np.repeat(huge, 10), q
+        # bands of 4,096 trial counts up to 2**51, read on the grid
+        for r_hi in (10**14, 2**50, 2**51):
+            yield rng_top.random(30), r_hi - rng_top.integers(0, 4_096, 30), q
     yield from _band_grid()
 
 
@@ -586,6 +591,35 @@ def test_few_chained_draw_rows_reach_binom_ppf(monkeypatch, name, n_star):
     counts = montecarlo._draw_prior(u, _quantiles(u), marginals, n_star)
     assert (counts.sum(axis=1) == n_star).all()
     assert sum(ppf_rows) < 0.01 * u.size
+
+
+@pytest.mark.parametrize("rows", [BLOCK_SIZE, 10_000 - 2 * BLOCK_SIZE])
+def test_household_prior_columns_take_the_cdf_table(monkeypatch, rows):
+    """At example3-household's n* = 3,000, every one of the 5 chained
+    columns of a full block and of the last block of 10,000 replications
+    is drawn from the CDF table: neither ``binom.cdf`` nor ``binom.ppf``
+    is called.  A table rule of R * (C + R) <= 16 * rows sent 2 and 3 of
+    them to the CDF points."""
+    tables, calls = [], []
+    cdf_table = montecarlo._cdf_table
+
+    def counted_table(r_lo, R, c_lo, C, q):
+        tables.append(R)
+        return cdf_table(r_lo, R, c_lo, C, q)
+
+    class Counted:
+        def __getattr__(self, attr):
+            calls.append(attr)
+            return getattr(binom, attr)
+
+    monkeypatch.setattr(montecarlo, "_cdf_table", counted_table)
+    monkeypatch.setattr(montecarlo, "binom", Counted())
+    marginals = derive(bundled_model("example3-household")).marginals
+    u = np.random.default_rng(0).random((rows, marginals.size - 1))
+    counts = montecarlo._draw_prior(u, _quantiles(u), marginals, 3_000)
+    assert (counts.sum(axis=1) == 3_000).all()
+    # the table's first row reads binom._cdf
+    assert len(tables) == 5 and "cdf" not in calls and "ppf" not in calls
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
