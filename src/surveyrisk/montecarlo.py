@@ -32,15 +32,15 @@ keyed by the 128-bit pair (seed, b), and draws in a fixed order:
      counts are a chained binomial inverse-CDF of the uniforms per group,
      exactly the integers ``scipy.stats.binom.ppf`` returns, reached at
      each n* through a checked guess: a skew-corrected normal quantile,
-     accepted or moved by one count where a CDF table brackets the
-     uniform, and ``binom.ppf`` itself for the few rows it does not.  The
-     table holds the group's R trial counts by the C guessed counts: one
-     row of ``binom.cdf``, then R - 1 steps of the exact recurrence in the
-     trial count, each a convex combination, so it stays within about
-     1e-13 of the exact CDF relative, a tenth of the check's margin.  Past
-     R = 256, or where its first row would hold more values than twice
-     the rows, it gives way to ``binom.cdf`` at the distinct (trials,
-     count) points of the same grid.
+     accepted or moved by one count where the CDF brackets the uniform,
+     and ``binom.ppf`` itself for the few rows it does not.  A CDF table
+     holds the group's R trial counts by the C guessed counts: one row of
+     ``binom.cdf``, then R - 1 steps of the exact recurrence in the trial
+     count, each a convex combination, so it stays within about 1e-13 of
+     the exact CDF relative, a tenth of the check's margin.  Past R = 256,
+     or where its first row would hold more values than twice the rows,
+     it gives way to ``binom.cdf`` at the distinct (trials, count) points
+     of the same grid, which settle the rows the same way.
 
 Step 4 spends exactly one uniform per (replication, group) regardless of
 n*, so runs at different n* but the same seed see comonotone prior counts;
@@ -51,9 +51,12 @@ seed (common random numbers), which makes paired comparisons sharp.
 
 Per-replication losses land in a preallocated buffer at their replication
 index, and the mean is a single pairwise reduction over that buffer, so
-results are bitwise identical for any worker count.  Worker threads each
-own their blocks end to end; the only shared write target is the buffer,
-at disjoint indices.
+results are bitwise identical for any worker count.  One thread runs each
+block end to end; the only shared write target is the buffer, at disjoint
+indices.  The caller is one of the workers: a call that draws hands its
+blocks to the others at once, any other runs its first block and hands
+off the rest only once that block reads the CDF at BLOCK_SIZE / 4 values
+or more, as smaller reads cost less than the hand-off.
 
 Loss by the chain rule.  The three estimators share the present
 survey's within-group conditionals x_i./t_i and differ only in their
@@ -99,7 +102,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -273,70 +278,69 @@ def _cdf_table(r_lo: int, R: int, c_lo: int, C: int, q: float) -> np.ndarray:
 
 
 def _binom_inverse(
-    u: np.ndarray, z: np.ndarray, r: np.ndarray, q: float
+    u: np.ndarray, z: np.ndarray, r: np.ndarray, q: float, on_cdf: Callable | None = None
 ) -> np.ndarray:
     """``np.maximum(binom.ppf(u, r, q), 0)`` as int64, for int64 trial
-    counts r and one probability q.
+    counts r and one probability q; ``on_cdf``, if given, is called with
+    the number of CDF values the first pass computes, at most.
 
     ``z`` is ``np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)``, which a block
     computes once for every n*; it only feeds the guess, so the counts
     are exact whatever it holds.  A skew-corrected (Cornish-Fisher)
-    normal quantile at z guesses each count k; the guess stands where
-    cdf(k - 1) < u <= cdf(k), with u clear of both values by
-    ``_TIE_RTOL``.  The CDF is read on one grid: the R trial counts of
-    the rows by the C guessed counts widened by one each side, each row's
-    point (r, k - 1) at one index.  It comes from a table over the whole
-    grid (:func:`_cdf_table`), which also corrects a guess one count off,
-    while R <= ``_TABLE_MAX_TRIALS`` and the table's first row, C + R - 1
-    CDF values, costs no more than the points the rows need, at most two
-    per row; otherwise from ``binom.cdf`` once per distinct point.  Rows
-    the check does not settle are passed to ``binom.ppf``, and so is a
-    whole grid whose index would overflow int64 (R * C >= 2**63).
+    normal quantile at z guesses each count k.  The CDF is read on one
+    grid, the R trial counts of the rows by the C guessed counts widened by
+    two below and one above: from a table over the whole grid
+    (:func:`_cdf_table`) while R <= ``_TABLE_MAX_TRIALS`` and its first
+    row, C + R - 1 CDF values, costs no more than two points per row;
+    otherwise from ``binom.cdf`` once per distinct point.  Each row reads
+    counts k - 1 and k, the rows left k - 2 .. k + 1; where some but not
+    all of them lie below u, their number places the answer, unless u lies
+    within ``_TIE_RTOL`` of one of them or below 2**-1000, where the
+    table's subnormal roundings may exceed that margin.  The rows still
+    left go to ``binom.ppf``, and so does a grid whose index would
+    overflow int64 (R * C >= 2**63).
     """
     mean = r * q
     sd = np.sqrt(mean * (1.0 - q))
     guess = np.ceil(mean + sd * z + (1.0 - 2.0 * q) * (z * z - 1.0) / 6.0 - 0.5)
     k = np.clip(guess, 0, r).astype(np.int64)
-    lo, hi = u * (1.0 - _TIE_RTOL), u * (1.0 + _TIE_RTOL)
+    lo, hi = np.where(u > 2.0**-1000, u * (1.0 - _TIE_RTOL), 0.0), u * (1.0 + _TIE_RTOL)
 
     r_lo, k_lo = int(r.min()), int(k.min())
     R = int(r.max()) - r_lo + 1
     C = int(k.max()) - k_lo + 4  # counts k_lo - 2 .. k_hi + 1
-    if R * C >= 2**63:  # the grid's index would overflow int64
-        return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
-    at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
-    if R <= _TABLE_MAX_TRIALS and C + R - 1 <= 2 * u.size:
-        cdf = _cdf_table(r_lo, R, k_lo - 2, C, q).ravel()
-        # below 2**-1000 the table's subnormal roundings may exceed the margin
-        settled = (cdf.take(at) < lo) & (hi < cdf.take(at + 1)) & (u > 2.0**-1000)
-        rest = np.flatnonzero(~settled)
-        # how many of the counts k - 2 .. k + 1 lie below u places a guess
-        # one count off, unless one of them lies within the margin of u
-        at, lo, hi = at[rest] - 1, lo[rest], hi[rest]
-        below, clear = 0, u[rest] > 2.0**-1000
-        for i in range(4):
-            f = cdf.take(at + i)
-            under = f < lo
-            below += under
-            clear &= under | (hi < f)
-        k[rest] += below - 2
-        rest = rest[~clear | (below == 0) | (below == 4)]
+    table = R <= _TABLE_MAX_TRIALS and C + R - 1 <= 2 * u.size
+    if on_cdf is not None:
+        on_cdf(C + R - 1 if table else 2 * u.size)
+    if table:
+        cdf_at = _cdf_table(r_lo, R, k_lo - 2, C, q).ravel().take
     else:
-        points, where = np.unique(np.concatenate((at, at + 1)), return_inverse=True)
-        cdf = binom.cdf(points % C + k_lo - 2, points // C + r_lo, q)[where]
-        settled = (cdf[:u.size] < lo) & (hi < cdf[u.size:])
-        rest = np.flatnonzero(~settled)
+        if R * C >= 2**63:  # the grid's index would overflow int64
+            return np.maximum(binom.ppf(u, r, q), 0.0).astype(np.int64)
+        def cdf_at(at: np.ndarray) -> np.ndarray:
+            points, where = np.unique(at, return_inverse=True)
+            return binom.cdf(points % C + k_lo - 2, points // C + r_lo, q)[where]
+    at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
+    f = cdf_at(np.concatenate((at, at + 1)))
+    rest = np.flatnonzero(~((f[:u.size] < lo) & (hi < f[u.size:])))
+    at, lo, hi = at[rest] - 1, lo[rest], hi[rest]
+    f = cdf_at((at + np.arange(4)[:, None]).ravel()).reshape(4, rest.size)
+    under = f < lo
+    below = under.sum(axis=0)
+    k[rest] += below - 2
+    rest = rest[~(under | (hi < f)).all(axis=0) | (below == 0) | (below == 4)]
     if rest.size:
         k[rest] = np.maximum(binom.ppf(u[rest], r[rest], q), 0.0)
     return k
 
 
 def _draw_prior(
-    u: np.ndarray, z: np.ndarray, marginals: np.ndarray, n_star: int
+    u: np.ndarray, z: np.ndarray, marginals: np.ndarray, n_star: int,
+    on_cdf: Callable | None = None,
 ) -> np.ndarray:
     """Multinomial(n*, marginals) per row of the (rows, I-1) uniforms ``u``
     via a chained binomial inverse CDF, ``z`` their clamped normal
-    quantiles (see :func:`_binom_inverse`).
+    quantiles and ``on_cdf`` as in :func:`_binom_inverse`.
 
     A pure function of ``u``: the same uniforms at every n* keep draws
     comonotone across n*.  Group i is drawn from what is left with
@@ -349,7 +353,7 @@ def _draw_prior(
     values = marginals.tolist()
     for i in range(I - 1):
         q = values[i] / math.fsum(values[i:])
-        draw = _binom_inverse(u[:, i], z[:, i], remaining, q)
+        draw = _binom_inverse(u[:, i], z[:, i], remaining, q, on_cdf)
         out[:, i] = draw
         remaining -= draw
     out[:, I - 1] = remaining
@@ -378,7 +382,7 @@ class _Draws:
         # each group's distinct conditionals, and each cell's among them
         self._distinct = [np.unique(c, return_inverse=True) for c in dq.conditionals]
 
-    def block(self, b: int, n_star: int | None) -> tuple:
+    def block(self, b: int, n_star: int | None, on_cdf: Callable | None = None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
         the prior counts are None when ``n_star`` is."""
         entry = self._entries[b]
@@ -422,7 +426,7 @@ class _Draws:
             entry = (totals, d, discarded, u, z, None, None)
         totals, d, discarded, u, z, drawn, xstar = entry
         if n_star is not None and drawn != n_star:
-            xstar = _draw_prior(u, z, self.dq.marginals, n_star)
+            xstar = _draw_prior(u, z, self.dq.marginals, n_star, on_cdf)
             xstar.flags.writeable = False
             entry = (totals, d, discarded, u, z, n_star, xstar)
         if self.keep:
@@ -463,12 +467,13 @@ def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
 
 
 def _block_losses(
-    kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None
+    kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None,
+    on_cdf: Callable | None = None,
 ) -> tuple[np.ndarray, int]:
     """Per-replication losses of block b by the chain rule, and its
     discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
     first-stage estimate q_f = num / size."""
-    totals, second_stage, discarded, xstar = draws.block(b, n_star)
+    totals, second_stage, discarded, xstar = draws.block(b, n_star, on_cdf)
     num, size = kind.first_stage(totals, xstar), kind.first_stage(draws.n, n_star)
     first, marginals = num / size, draws.dq.marginals
     lo, hi = int(num.min()), int(num.max())
@@ -547,17 +552,32 @@ def simulate_risk(
     losses = np.empty(reps, dtype=np.float64)
     discards = np.zeros(n_blocks, dtype=np.int64)
 
-    def run_block(b: int) -> None:
-        block, discards[b] = _block_losses(kind, draws, b, n_star)
+    def run_block(b: int, on_cdf: Callable | None = None) -> None:
+        block, discards[b] = _block_losses(kind, draws, b, n_star, on_cdf)
         losses[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
 
-    if workers == 1 or n_blocks == 1:
-        for b in range(n_blocks):
+    threads = min(workers, n_blocks) - 1  # the caller is one of the workers
+    blocks, futures = iter(range(n_blocks)), []
+
+    def run_rest() -> None:
+        for b in blocks:  # next() on a range iterator is atomic
             run_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_block, b) for b in range(n_blocks)]:
-                future.result()
+
+    with ExitStack() as stack:
+        def hand_off(cdf_values: int) -> None:
+            # measured on 2 cores: a hand-off paid from one CDF read of
+            # BLOCK_SIZE / 4 values, and lost for reads under half that
+            if cdf_values >= BLOCK_SIZE // 4 and not futures:
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+                futures.extend(pool.submit(run_rest) for _ in range(threads))
+
+        if threads and None in draws._entries:  # it draws, or keeps nothing
+            hand_off(BLOCK_SIZE)
+        elif threads:
+            run_block(next(blocks), hand_off)
+        run_rest()
+        for future in futures:
+            future.result()
 
     mean = float(np.sum(losses) / reps)
     se = float(np.std(losses, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -92,20 +92,59 @@ def test_fixed_seed_is_deterministic():
     assert a == b
 
 
-def test_worker_count_does_not_change_results():
-    """Bitwise equality across parallelism, with enough replications to
-    span several scheduling blocks."""
-    reps = 3 * BLOCK_SIZE + 123
-    cfg = SimulationConfig(replications=reps, seed=5)
-    results = [
-        simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, 25, cfg,
-                      workers=w)
-        for w in (1, 2, 8)
-    ]
-    assert results[0].mean_loss == results[1].mean_loss == results[2].mean_loss
-    assert results[0].std_error == results[1].std_error == results[2].std_error
-    assert results[0].discard_rate == results[1].discard_rate \
-        == results[2].discard_rate
+def test_worker_count_does_not_change_results(executors):
+    """Bitwise equality across parallelism, on a fresh draw over several
+    scheduling blocks and on a memo hit at a new n*.  The caller is one of
+    the workers, so a pool holds one thread fewer than the workers or the
+    blocks.  A fresh draw builds one; a hit builds one only where its
+    first block's prior draw reads the CDF at BLOCK_SIZE / 4 values or
+    more: a table of about 3,500 counts at n* = 10**6, two points per row
+    at n* = 10**7, but not a table of a few dozen at n* = 25."""
+    for reps, n_star, pools in ((3 * BLOCK_SIZE + 123, 25, [[], [1], [3]]),
+                                (BLOCK_SIZE + 100, 10**6, [[], [1, 1], [1, 1]]),
+                                (BLOCK_SIZE + 100, 10**7, [[], [1, 1], [1, 1]])):
+        cfg = SimulationConfig(replications=reps, seed=5)
+        results, built = [], []
+        for w in (1, 2, 8):
+            _forget_draws()
+            executors.clear()
+            results.append([simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25,
+                                          ns, cfg, workers=w)
+                            for ns in (n_star, n_star + 1)])
+            built.append([pool["max_workers"] for pool in executors])
+        assert results[0] == results[1] == results[2]
+        assert built == pools, n_star
+
+
+def test_workers_sharing_the_blocks_run_each_once(monkeypatch):
+    """The caller and the pool's threads take blocks from one iterator.
+    With 8 workers, more than the cores, a thread switch every
+    microsecond and a hand-off from the middle of the caller's first
+    block, every block runs exactly once and the result is one worker's."""
+    cfg = SimulationConfig(replications=6 * BLOCK_SIZE, seed=3)
+    n_stars = (10**7, 10**7 + 1, 25)  # a draw, a hand-off, all on the caller
+    want = [simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, ns, cfg)
+            for ns in n_stars]
+    runs = []
+    block_losses = montecarlo._block_losses
+
+    def counted(kind, draws, b, n_star, on_cdf=None):
+        runs.append(b)
+        return block_losses(kind, draws, b, n_star, on_cdf)
+
+    monkeypatch.setattr(montecarlo, "_block_losses", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _forget_draws()
+            for ns, expected in zip(n_stars, want):
+                runs.clear()
+                assert simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, ns, cfg,
+                                     workers=8) == expected, ns
+                assert sorted(runs) == list(range(6)), ns
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_replications_below_one_block():
@@ -486,20 +525,24 @@ def test_binom_inverse_matches_binom_ppf_exactly():
 
 def test_bands_up_to_the_cap_take_the_cdf_table(monkeypatch):
     """Every band of at most 256 trial counts in ``_band_grid`` is drawn
-    from the CDF table, and the band one past the cap is not."""
+    from the CDF table, and the band one past the cap is not.  The draw
+    reports through ``on_cdf`` the CDF values it computes first: the
+    table's first row, C + R - 1 values, or at most two per row."""
     tables = []
     cdf_table = montecarlo._cdf_table
 
     def counted(r_lo, R, c_lo, C, q):
-        tables.append(R)
+        tables.append((R, C + R - 1))
         return cdf_table(r_lo, R, c_lo, C, q)
 
     monkeypatch.setattr(montecarlo, "_cdf_table", counted)
     for u, r, q in _band_grid():
         tables.clear()
-        _binom_inverse(u, _quantiles(u), r, q)
+        reported = []
+        _binom_inverse(u, _quantiles(u), r, q, reported.append)
         R = int(np.ptp(r)) + 1
-        assert tables == ([R] if R <= 256 else []), (q, R)
+        assert [trials for trials, _ in tables] == ([R] if R <= 256 else []), (q, R)
+        assert reported == ([width for _, width in tables] or [2 * u.size]), (q, R)
 
 
 def test_cdf_method_equals_binom_cdf_on_the_support():
@@ -568,13 +611,16 @@ def test_cdf_table_agrees_with_binom_cdf_at_the_cap(q, r_lo):
 
 
 @pytest.mark.parametrize("name, n_star", [("example2-breast-cancer", 1_000),
-                                          ("example3-household", 3_000)])
+                                          ("example3-household", 3_000),
+                                          ("example1-uniform100x2", 2**51)])
 def test_few_chained_draw_rows_reach_binom_ppf(monkeypatch, name, n_star):
     """On a block of chained prior draws, fewer than 1% of the rows fall
     through to ``binom.ppf``, counted through a stand-in for
     ``montecarlo.binom`` as the benchmark's tracer counts them.  A table
     that silently held NaN would pass the exactness tests and send most
-    rows there."""
+    rows there.  At n* = 2**51 the CDF points serve the draw, and they
+    correct a guess one count off as the table does: checking the guess
+    alone sent 387 of 4,096 rows there."""
     ppf_rows = []
 
     class Counted:
@@ -824,6 +870,21 @@ def _key(model, n, config):
 
 
 @pytest.fixture
+def executors(monkeypatch):
+    """Counts the thread pools the engine builds; the memo starts empty."""
+    built = []
+
+    class Counted(montecarlo.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(montecarlo, "_memo", OrderedDict())
+    return built
+
+
+@pytest.fixture
 def present_draws(monkeypatch):
     """Counts the engine's present draws; the memo starts empty."""
     calls = []
@@ -838,10 +899,12 @@ def present_draws(monkeypatch):
     return calls
 
 
-def test_memo_hit_equals_a_fresh_draw(present_draws):
+def test_memo_hit_equals_a_fresh_draw(present_draws, executors):
     """For each kind and worker count, a call that finds its surveys in
     the memo returns bitwise what a fresh draw returns, and fresh draws
-    agree across worker counts."""
+    agree across worker counts.  With workers, the fresh draw of several
+    blocks builds one thread pool and the hit, whose prior draw reads
+    CDF tables of at most a few hundred values, builds none."""
     cfg = SimulationConfig(replications=MEMO_REPS, seed=23)
     blocks = -(-MEMO_REPS // BLOCK_SIZE)
     for kind in EstimatorKind:
@@ -849,10 +912,13 @@ def test_memo_hit_equals_a_fresh_draw(present_draws):
         for workers in (1, 2, 8):
             _forget_draws()
             present_draws.clear()
+            executors.clear()
             cold = simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, workers)
             assert len(present_draws) == blocks
+            assert len(executors) == (workers > 1)
             warm = simulate_risk(kind, BREAST_CANCER, 60, 300, cfg, workers)
             assert len(present_draws) == blocks
+            assert len(executors) == (workers > 1)
             assert warm == cold
             assert cold.discard_rate > 0.0
             fresh.append(cold)
