@@ -98,7 +98,8 @@ def risk_app(
         # one division of p = I-1+S: (I-1)/(2n) + S/(2n) rounds differently
         first = dq.p_total / (2.0 * n)
     else:
-        first = (dq.marginals.size - 1) / (2.0 * N) + float(dq.s.sum()) / (2.0 * n)
+        I1 = dq.marginals.size - 1  # S = p - (I-1), exact in integers
+        first = I1 / (2.0 * N) + (dq.p_total - I1) / (2.0 * n)
     try:
         second = (dq.M_f - 1.0) / (12.0 * N * N) + math.fsum(
             (a + 12.0 * (1.0 - m) * s * w) / m

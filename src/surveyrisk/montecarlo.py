@@ -323,6 +323,8 @@ def _binom_inverse(
     at = (r - r_lo) * C + (k - k_lo + 1)  # count k - 1 of row r
     f = cdf_at(np.concatenate((at, at + 1)))
     rest = np.flatnonzero(~((f[:u.size] < lo) & (hi < f[u.size:])))
+    if not rest.size:  # every guess held: no correction pass
+        return k
     at, lo, hi = at[rest] - 1, lo[rest], hi[rest]
     f = cdf_at((at + np.arange(4)[:, None]).ravel()).reshape(4, rest.size)
     under = f < lo

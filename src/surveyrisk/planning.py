@@ -17,20 +17,22 @@ shape, "how large must one survey be to match the other design's risk":
 
 Risks are evaluated either from the truncated expansions (method "app")
 or by Monte Carlo (method "sim").  One routine serves both: it gallops
-from a guess (steps s, 2s, 4s, ... up while the risk is above the
-target, down while it is not), then runs integer bisection on the
-bracket.  It probes no size above n0 * 2**MAX_DOUBLINGS.
+from a guess (steps 1, 2, 4, ... up while the risk is above the target,
+down while it is not), then runs integer bisection on the bracket.  It
+probes no size above n0 * 2**MAX_DOUBLINGS.
 
-* "app" gallops from n0 in steps of n0, that is, it doubles n0 until the
-  target is met; the analytic curve is monotone decreasing, so the
-  answer is the least size meeting the target.
+* "app" fits c + a/x + b/x**2, the exact shape of both analytic curves
+  in the size solved for, at n0, 2 n0 and 4 n0, and starts at its rounded
+  positive root, or at n0 where it has none or 4 n0 is past the float
+  range.  The curve is monotone decreasing, so the answer is the least
+  size meeting the target; a bundled grid solve takes 4 or 5 probes.
 * "sim" starts where the analytic answer a0 is, probes the simulated
   curve there, shifts the analytic curve by the measured offset and
-  solves that again (no engine run) for a1, falling back to a0 when the
-  shifted target lies beyond the cap.  It then gallops from a1 in steps
-  of 1, 2, 4, ..., reusing every probe already made as a bracket end.
-  Where the simulated curve is the analytic one shifted by a constant,
-  a solve takes 3 or 4 engine runs, the target run included.
+  solves that again from the shifted fit's root (no engine run) for a1,
+  falling back to a0 when the shifted target lies beyond the cap.  It
+  then gallops from a1, reusing every probe already made as a bracket
+  end.  Where the simulated curve is the analytic one shifted by a
+  constant, a solve takes 3 or 4 engine runs, the target run included.
 
 A simulated answer x is a crossing of the probed curve: risk(x) is at
 or below the target and risk(x - 1) is above it, both on the same seed.
@@ -172,21 +174,20 @@ class Recommendation:
 def _least_satisfying(
     f: Callable[[int], float],
     guess: int,
-    step: int,
     cap: int,
-    memo: dict[int, float] | None = None,
+    memo: dict[int, float],
 ) -> int | None:
     """Some x in [1, cap] with f(x) <= 0 < f(x - 1), or None if f(cap) > 0.
 
     ``f(0)`` counts as positive.  Gallops from ``guess``: upward in
-    steps ``step``, ``2*step``, ``4*step``, ... while f stays positive,
-    or downward the same way while it does not, and clipped to [0, cap];
-    then bisects the bracket.  ``f`` is memoized in ``memo`` so noisy
-    (simulated) evaluations are consistent within one solve; sizes
-    already in ``memo`` serve as bracket ends.  For a monotone
-    decreasing f the answer is the least x with f(x) <= 0.
+    steps 1, 2, 4, ... while f stays positive, or downward the same way
+    while it does not, and clipped to [0, cap]; then bisects the
+    bracket.  ``f`` is memoized in ``memo`` so noisy (simulated)
+    evaluations are consistent within one solve; sizes already in
+    ``memo`` serve as bracket ends.  For a monotone decreasing f the
+    answer is the least x with f(x) <= 0, from any guess.
     """
-    memo = {} if memo is None else memo
+    step = 1
 
     def g(x: int) -> float:
         if x not in memo:
@@ -224,6 +225,27 @@ def _least_satisfying(
     return hi
 
 
+def _fitted_start(f: Callable[[int], float], x0: int, cap: int,
+                  memo: dict[int, float]) -> Callable[[float], int]:
+    """Fit c + a/x + b/x**2 to f at x0, 2*x0 and 4*x0, probed into ``memo``;
+    shift -> the fit's rounded positive root with c raised by shift, in
+    [1, cap], or x0 where there is none or 4*x0 is past the float range.
+    """
+    if 4 * x0 > sys.float_info.max:  # no probe past the float range
+        return lambda shift: x0
+    f1, f2, f4 = (memo.setdefault(x, f(x)) for x in (x0, 2 * x0, 4 * x0))
+    b = 8.0 * (f1 - 3.0 * f2 + 2.0 * f4) / 3.0  # in units of x0
+    a = 2.0 * (f1 - f2) - 1.5 * b
+    c = f1 - a - b
+
+    def start(shift: float) -> int:
+        q = -(c + shift) if c + shift < 0.0 else math.nan  # no root where c >= 0
+        alpha, beta = a / q, b / q  # scaled, so alpha**2 does not underflow
+        x = x0 * (alpha + math.sqrt(max(alpha * alpha + 4.0 * beta, 0.0))) / 2.0
+        return min(max(round(x), 1), cap) if 0.0 < x < math.inf else x0
+    return start
+
+
 def required_sample_size(
     query: RssQuery, model: TwoStageModel, workers: int = 1
 ) -> int:
@@ -243,27 +265,27 @@ def required_sample_size(
     cap = n0 * 2**MAX_DOUBLINGS
 
     if query.kind is RssKind.PRIOR_TO_PRESENT:
-        target_app = risk_app(EstimatorKind.PRESENT, model, n0).total
-        if risk_app(EstimatorKind.PRIOR, model, n0, math.inf).total >= target_app:
-            raise Unattainable(
-                f"the prior estimator cannot reach the present estimator's "
-                f"risk at n0={n0} for any prior size; the within-group risk "
-                f"floor is too high"
-            )
-
         def curve(risk: Callable[..., float]) -> Callable[[int], float]:
             """n* -> prior risk at (n0, n*) minus present risk at n0."""
             target = risk(EstimatorKind.PRESENT, n0, None)
             return lambda ns: risk(EstimatorKind.PRIOR, n0, ns) - target
     else:  # present-vs-pooled: always attainable (present risk falls to 0)
-
         def curve(risk: Callable[..., float]) -> Callable[[int], float]:
             """n -> present risk at n minus pooled risk at (n0, n0*)."""
             target = risk(EstimatorKind.POOLED, n0, query.n0_star)
             return lambda n: risk(EstimatorKind.PRESENT, n, None) - target
 
     f_app = curve(lambda kind, n, n_star: risk_app(kind, model, n, n_star).total)
-    a0 = _least_satisfying(f_app, n0, n0, cap)
+    # at n* = inf the prior curve is the within-group floor minus the target
+    if query.kind is RssKind.PRIOR_TO_PRESENT and f_app(math.inf) >= 0.0:
+        raise Unattainable(
+            f"the prior estimator cannot reach the present estimator's "
+            f"risk at n0={n0} for any prior size; the within-group risk "
+            f"floor is too high"
+        )
+    memo: dict[int, float] = {}
+    start = _fitted_start(f_app, n0, cap, memo)
+    a0 = _least_satisfying(f_app, start(0.0), cap, memo)
     if query.method == "app":
         if a0 is None:
             raise Unattainable("bracketing exhausted; target out of reach")
@@ -272,10 +294,10 @@ def required_sample_size(
     a0 = cap if a0 is None else a0
     f_sim = curve(lambda kind, n, n_star: simulate_risk(
         kind, model, n, n_star, query.config, workers).mean_loss)
-    memo = {a0: f_sim(a0)}
-    offset = memo[a0] - f_app(a0)
-    a1 = _least_satisfying(lambda x: f_app(x) + offset, a0, 1, cap)
-    found = _least_satisfying(f_sim, a0 if a1 is None else a1, 1, cap, memo)
+    sim_memo = {a0: f_sim(a0)}
+    offset = sim_memo[a0] - memo[a0]
+    a1 = _least_satisfying(lambda x: f_app(x) + offset, start(offset), cap, {})
+    found = _least_satisfying(f_sim, a0 if a1 is None else a1, cap, sim_memo)
     if found is None:
         raise SimulationNoise(
             "could not bracket the target at the configured replication "

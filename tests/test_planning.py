@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surveyrisk.planning as planning
 from surveyrisk import (
@@ -28,12 +30,15 @@ from surveyrisk import (
     ZeroGroupCount,
     advise,
     advise_from_marginals,
+    build_model,
     bundled_model,
     derive,
     required_sample_size,
     risk_app,
 )
 from helpers import gap
+from surveyrisk.cli import _RSS_GRIDS
+from surveyrisk.datasets import BUNDLED_MODEL_NAMES
 
 UNIFORM = bundled_model("example1-uniform100x2")
 
@@ -258,26 +263,25 @@ def test_simulated_solve_gallops_past_an_unreachable_shifted_target(monkeypatch)
 
 
 #: (kind, n, n*) of every risk_app call an app-mode solve makes on the
-#: uniform model at n0 = n0* = 400: the doubling-then-bisection probes
+#: uniform model at n0 = n0* = 400: the target (and, for prior-vs-present,
+#: the floor at n* = inf), the fit's three points n0, 2 n0 and 4 n0, then
+#: the rounded root of the fit and its neighbour; present-vs-pooled reads
+#: its neighbour 400 from the fit's points
 APP_CALLS = {
     RssKind.PRIOR_TO_PRESENT: [
-        ("present", 400, None), ("prior", 400, math.inf), ("present", 400, None),
-        ("prior", 400, 400), ("prior", 400, 800), ("prior", 400, 600),
-        ("prior", 400, 700), ("prior", 400, 750), ("prior", 400, 775),
-        ("prior", 400, 787), ("prior", 400, 793), ("prior", 400, 790),
-        ("prior", 400, 791),
+        ("present", 400, None), ("prior", 400, math.inf),
+        ("prior", 400, 400), ("prior", 400, 800), ("prior", 400, 1600),
+        ("prior", 400, 791), ("prior", 400, 790),
     ],
     RssKind.PRESENT_TO_POOLED: [
         ("pooled", 400, 400), ("present", 400, None), ("present", 800, None),
-        ("present", 600, None), ("present", 500, None), ("present", 450, None),
-        ("present", 425, None), ("present", 412, None), ("present", 406, None),
-        ("present", 403, None), ("present", 401, None),
+        ("present", 1600, None), ("present", 401, None),
     ],
 }
 
 
-@pytest.mark.parametrize("kind", list(RssKind))
-def test_analytic_solve_probes_by_doubling_from_n0(monkeypatch, kind):
+def _recorded_risk_app(monkeypatch):
+    """Record the (kind, n, n*) of every risk_app call the solver makes."""
     calls = []
 
     def recording(k, model, n, n_star=None):
@@ -285,8 +289,109 @@ def test_analytic_solve_probes_by_doubling_from_n0(monkeypatch, kind):
         return risk_app(k, model, n, n_star)
 
     monkeypatch.setattr(planning, "risk_app", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(RssKind))
+def test_analytic_solve_probes_the_fit_then_its_root(monkeypatch, kind):
+    calls = _recorded_risk_app(monkeypatch)
     required_sample_size(RssQuery(kind=kind, n0=400, n0_star=400), UNIFORM)
     assert calls == APP_CALLS[kind]
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(RssKind))
+def test_bundled_grid_solves_take_at_most_five_curve_probes(
+        monkeypatch, example, kind):
+    """Each analytic solve of a bundled rss grid probes its curve at most
+    5 times after the target and floor calls: 3 for the fit, then its
+    root and a neighbour.  Doubling from n0 took 9 to 13."""
+    calls = _recorded_risk_app(monkeypatch)
+    model = bundled_model(BUNDLED_MODEL_NAMES[example - 1])
+    before = 2 if kind is RssKind.PRIOR_TO_PRESENT else 1
+    for n0, n0_star in _RSS_GRIDS[example]:
+        calls.clear()
+        required_sample_size(RssQuery(kind=kind, n0=n0, n0_star=n0_star), model)
+        assert len(calls) - before <= 5, (n0, calls)
+
+
+def _least_by_bisection(f, cap):
+    """The least x in [1, cap] with f(x) <= 0 for a non-increasing f, or
+    None if f(cap) > 0; f(0) counts as positive."""
+    if f(cap) > 0.0:
+        return None
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if f(mid) <= 0.0 else (mid, hi)
+    return hi
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.lists(st.integers(1, 50), min_size=1, max_size=5),
+                min_size=2, max_size=8),
+       st.integers(1, 10**9), st.integers(1, 10**9), st.sampled_from(list(RssKind)))
+def test_analytic_solve_returns_the_least_size_meeting_the_target(
+        weights, n0, n0_star, kind):
+    """From wherever the fit starts it, the analytic solve returns what a
+    plain bisection over [0, n0 * 2**MAX_DOUBLINGS] finds: the least size
+    whose risk is at or below the target, or Unattainable."""
+    model = build_model(weights, renormalize=True)
+    if kind is RssKind.PRIOR_TO_PRESENT:
+        target = risk_app(EstimatorKind.PRESENT, model, n0).total
+        curve = lambda x: risk_app(EstimatorKind.PRIOR, model, n0, x).total - target
+        reachable = curve(math.inf) < 0.0
+    else:
+        target = risk_app(EstimatorKind.POOLED, model, n0, n0_star).total
+        curve = lambda x: risk_app(EstimatorKind.PRESENT, model, x).total - target
+        reachable = True
+    want = _least_by_bisection(curve, n0 * 2**planning.MAX_DOUBLINGS) \
+        if reachable else None
+    query = RssQuery(kind=kind, n0=n0, n0_star=n0_star)
+    if want is None:
+        with pytest.raises(Unattainable):
+            required_sample_size(query, model)
+    else:
+        assert required_sample_size(query, model) == want
+
+
+#: breast-cancer's analytic answers at n0 = 5e307 and 8e307, n0* = n0 // 4,
+#: as doubling from n0 gave them; there the fit's 4 n0 is past the float
+#: range, so the solve starts at n0 without a fit
+FLOAT_EDGE = {
+    (RssKind.PRIOR_TO_PRESENT, 5 * 10**307): int(
+        "49999999999999965621747764614426066883723676693981016988008283831071"
+        "81640787900311737355678237619321276622871373581719431297536850290327"
+        "46464887077111839600801293622669166579927494682057949404647590669567"
+        "30224892779705783587802705524862633278121923506424787245119451178030"
+        "031120873207895213776326694937821185"),
+    (RssKind.PRESENT_TO_POOLED, 5 * 10**307): int(
+        "53030303030303033455653772931708756844074415861169586932147439979157"
+        "67449830936077217768671377666216952380008051932773697747941950563634"
+        "58961814293240995874836986532092928284651499142473921525834477239255"
+        "54984117734496063692221525001546674815284001361365708698427392678643"
+        "790692447562184160501433625737166849"),
+    (RssKind.PRIOR_TO_PRESENT, 8 * 10**307): int(
+        "79999999999999963955279363962919917749498656560336004821600228266561"
+        "55052680520814131066360696053409752663812201646785965400560943335005"
+        "71725428220770341131503390633329651458284530421645858316602228608522"
+        "16738063654418326907762265482479536893263772054404709848610618202496"
+        "665113079528234747746810979994828800"),
+    (RssKind.PRESENT_TO_POOLED, 8 * 10**307): int(
+        "89884656743115790396864485702651707539967066355018913468086889490222"
+        "48414638237547332450898879360354816514320834644395547327777392597020"
+        "13153287443357529103409544510003541918381369274229088557658822378651"
+        "35034927785683479811421457409930417468237646359537084222182755352171"
+        "355779849754046521440088952087248896"),
+}
+
+
+@pytest.mark.parametrize("kind, n0", list(FLOAT_EDGE), ids=[
+    f"{kind.value}-{n0 // 10**307}e307" for kind, n0 in FLOAT_EDGE])
+def test_analytic_solve_near_the_float_range_keeps_its_answers(kind, n0):
+    model = bundled_model("example2-breast-cancer")
+    query = RssQuery(kind=kind, n0=n0, n0_star=n0 // 4)
+    assert required_sample_size(query, model) == FLOAT_EDGE[kind, n0]
 
 
 def test_advise_from_truth_marginals_pathological_point():
