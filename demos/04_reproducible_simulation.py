@@ -6,8 +6,9 @@ The Monte Carlo engine draws surveys in fixed-size blocks keyed by
 (seed, block index), so a result is pinned by the seed and replication
 count alone.  Splitting the blocks across worker threads changes wall
 time, never the numbers.  A repeat call with the same model, n, seed and
-replication count takes its surveys from the engine's memo of the last
-key's draws, so it is faster, and its numbers are again the same.
+replication count takes its surveys from the engine's memo, which keeps
+the draws of the most recently used keys within 64 MB, so it is faster,
+and its numbers are again the same.
 Samples whose present survey leaves some group empty are discarded and
 redrawn; the engine reports how often that happened.
 """

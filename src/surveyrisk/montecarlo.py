@@ -53,10 +53,8 @@ Per-replication losses land in a preallocated buffer at their replication
 index, and the mean is a single pairwise reduction over that buffer, so
 results are bitwise identical for any worker count.  One thread runs each
 block end to end; the only shared write target is the buffer, at disjoint
-indices.  The caller is one of the workers: a call that draws hands its
-blocks to the others at once, any other runs its first block and hands
-off the rest only once that block reads the CDF at BLOCK_SIZE / 4 values
-or more, as smaller reads cost less than the hand-off.
+indices.  The caller is one of the workers: a call that draws shares its
+blocks with the others, and a memo hit runs them all on the caller.
 
 Loss by the chain rule.  The three estimators share the present
 survey's within-group conditionals x_i./t_i and differ only in their
@@ -102,9 +100,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -277,12 +273,9 @@ def _cdf_table(r_lo: int, R: int, c_lo: int, C: int, q: float) -> np.ndarray:
     return table
 
 
-def _binom_inverse(
-    u: np.ndarray, z: np.ndarray, r: np.ndarray, q: float, on_cdf: Callable | None = None
-) -> np.ndarray:
+def _binom_inverse(u: np.ndarray, z: np.ndarray, r: np.ndarray, q: float) -> np.ndarray:
     """``np.maximum(binom.ppf(u, r, q), 0)`` as int64, for int64 trial
-    counts r and one probability q; ``on_cdf``, if given, is called with
-    the number of CDF values the first pass computes, at most.
+    counts r and one probability q.
 
     ``z`` is ``np.clip(ndtri(u), -_Z_CLAMP, _Z_CLAMP)``, which a block
     computes once for every n*; it only feeds the guess, so the counts
@@ -309,10 +302,7 @@ def _binom_inverse(
     r_lo, k_lo = int(r.min()), int(k.min())
     R = int(r.max()) - r_lo + 1
     C = int(k.max()) - k_lo + 4  # counts k_lo - 2 .. k_hi + 1
-    table = R <= _TABLE_MAX_TRIALS and C + R - 1 <= 2 * u.size
-    if on_cdf is not None:
-        on_cdf(C + R - 1 if table else 2 * u.size)
-    if table:
+    if R <= _TABLE_MAX_TRIALS and C + R - 1 <= 2 * u.size:
         cdf_at = _cdf_table(r_lo, R, k_lo - 2, C, q).ravel().take
     else:
         if R * C >= 2**63:  # the grid's index would overflow int64
@@ -337,12 +327,11 @@ def _binom_inverse(
 
 
 def _draw_prior(
-    u: np.ndarray, z: np.ndarray, marginals: np.ndarray, n_star: int,
-    on_cdf: Callable | None = None,
+    u: np.ndarray, z: np.ndarray, marginals: np.ndarray, n_star: int
 ) -> np.ndarray:
     """Multinomial(n*, marginals) per row of the (rows, I-1) uniforms ``u``
     via a chained binomial inverse CDF, ``z`` their clamped normal
-    quantiles and ``on_cdf`` as in :func:`_binom_inverse`.
+    quantiles (see :func:`_binom_inverse`).
 
     A pure function of ``u``: the same uniforms at every n* keep draws
     comonotone across n*.  Group i is drawn from what is left with
@@ -355,7 +344,7 @@ def _draw_prior(
     values = marginals.tolist()
     for i in range(I - 1):
         q = values[i] / math.fsum(values[i:])
-        draw = _binom_inverse(u[:, i], z[:, i], remaining, q, on_cdf)
+        draw = _binom_inverse(u[:, i], z[:, i], remaining, q)
         out[:, i] = draw
         remaining -= draw
     out[:, I - 1] = remaining
@@ -384,7 +373,7 @@ class _Draws:
         # each group's distinct conditionals, and each cell's among them
         self._distinct = [np.unique(c, return_inverse=True) for c in dq.conditionals]
 
-    def block(self, b: int, n_star: int | None, on_cdf: Callable | None = None) -> tuple:
+    def block(self, b: int, n_star: int | None) -> tuple:
         """(totals, second-stage KLs, discarded, prior counts) of block b;
         the prior counts are None when ``n_star`` is."""
         entry = self._entries[b]
@@ -428,7 +417,7 @@ class _Draws:
             entry = (totals, d, discarded, u, z, None, None)
         totals, d, discarded, u, z, drawn, xstar = entry
         if n_star is not None and drawn != n_star:
-            xstar = _draw_prior(u, z, self.dq.marginals, n_star, on_cdf)
+            xstar = _draw_prior(u, z, self.dq.marginals, n_star)
             xstar.flags.writeable = False
             entry = (totals, d, discarded, u, z, n_star, xstar)
         if self.keep:
@@ -469,13 +458,12 @@ def _memo_slot(key: tuple, dq: DerivedQuantities) -> _Draws:
 
 
 def _block_losses(
-    kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None,
-    on_cdf: Callable | None = None,
+    kind: EstimatorKind, draws: _Draws, b: int, n_star: int | None
 ) -> tuple[np.ndarray, int]:
     """Per-replication losses of block b by the chain rule, and its
     discard count: D[q_f : m_f] + sum_i q_f,i D_i for the kind's
     first-stage estimate q_f = num / size."""
-    totals, second_stage, discarded, xstar = draws.block(b, n_star, on_cdf)
+    totals, second_stage, discarded, xstar = draws.block(b, n_star)
     num, size = kind.first_stage(totals, xstar), kind.first_stage(draws.n, n_star)
     first, marginals = num / size, draws.dq.marginals
     lo, hi = int(num.min()), int(num.max())
@@ -516,7 +504,8 @@ def simulate_risk(
     raises DomainError, as do marginals that numpy's multinomial refuses.
     Then R replications at a size whose acceptance bound a
     (:func:`_acceptance_bound`) has a * ``_MAX_REJECTIONS`` < 1 + ln R
-    raise RejectionBudgetExceeded before drawing.
+    raise RejectionBudgetExceeded before drawing, and R whose losses do
+    not fit in memory raise DomainError.
     """
     n_star = EstimatorKind.prior_size(kind, n_star)
     n = as_int(n, "n")
@@ -548,38 +537,33 @@ def simulate_risk(
             f"most {accept:.3g} (0 below the number of groups), so the worst of "
             f"{reps} replications expects over {_MAX_REJECTIONS} draws")
 
+    try:
+        losses = np.empty(reps, dtype=np.float64)
+    except MemoryError:
+        raise DomainError(
+            f"the losses of {reps} replications do not fit in memory") from None
     key = (model.flat().tobytes(), model.group_sizes, n, config)
     draws = _memo_slot(key, dq)
     n_blocks = draws.n_blocks
-    losses = np.empty(reps, dtype=np.float64)
     discards = np.zeros(n_blocks, dtype=np.int64)
+    blocks = iter(range(n_blocks))
 
-    def run_block(b: int, on_cdf: Callable | None = None) -> None:
-        block, discards[b] = _block_losses(kind, draws, b, n_star, on_cdf)
-        losses[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
-
-    threads = min(workers, n_blocks) - 1  # the caller is one of the workers
-    blocks, futures = iter(range(n_blocks)), []
-
-    def run_rest() -> None:
+    def run_blocks() -> None:
         for b in blocks:  # next() on a range iterator is atomic
-            run_block(b)
+            block, discards[b] = _block_losses(kind, draws, b, n_star)
+            losses[b * BLOCK_SIZE:b * BLOCK_SIZE + block.size] = block
 
-    with ExitStack() as stack:
-        def hand_off(cdf_values: int) -> None:
-            # measured on 2 cores: a hand-off paid from one CDF read of
-            # BLOCK_SIZE / 4 values, and lost for reads under half that
-            if cdf_values >= BLOCK_SIZE // 4 and not futures:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
-                futures.extend(pool.submit(run_rest) for _ in range(threads))
-
-        if threads and None in draws._entries:  # it draws, or keeps nothing
-            hand_off(BLOCK_SIZE)
-        elif threads:
-            run_block(next(blocks), hand_off)
-        run_rest()
-        for future in futures:
-            future.result()
+    # the caller is one of the workers; the others share the blocks only
+    # when the call draws them, or when its slot keeps nothing
+    threads = min(workers, n_blocks) - 1 if None in draws._entries else 0
+    if not threads:
+        run_blocks()
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run_blocks) for _ in range(threads)]
+            run_blocks()
+            for future in futures:
+                future.result()
 
     mean = float(np.sum(losses) / reps)
     se = float(np.std(losses, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -194,15 +195,18 @@ def _least_satisfying(
             memo[x] = f(x)
         return memo[x]
 
-    # a memoized size inside the next step is a free probe, and the
-    # bracket then ends there
+    # a size memoized before the gallop inside its next step is a free
+    # probe, and the bracket then ends there; the gallop's own probes lie
+    # at or beyond the bracket end, never inside the next step
+    known = sorted(memo)
     if g(guess) > 0.0:
         lo = guess
         while True:
             if lo >= cap:
                 return None
-            x = min((y for y in memo if lo < y <= lo + step),
-                    default=min(lo + step, cap))
+            i = bisect_right(known, lo)
+            x = known[i] if i < len(known) and known[i] <= lo + step \
+                else min(lo + step, cap)
             if g(x) <= 0.0:
                 hi = x
                 break
@@ -210,8 +214,8 @@ def _least_satisfying(
     else:
         hi = guess
         while True:
-            x = max((y for y in memo if hi - step <= y < hi),
-                    default=max(hi - step, 0))
+            i = bisect_left(known, hi)
+            x = known[i - 1] if i and known[i - 1] >= hi - step else max(hi - step, 0)
             if x == 0 or g(x) > 0.0:
                 lo = x
                 break

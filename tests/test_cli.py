@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surveyrisk import DomainError, ParseError, build_model, bundled_model
+from surveyrisk import montecarlo
 from surveyrisk.cli import (
     _parse_named_model,
     build_parser,
@@ -361,6 +362,34 @@ def test_default_threads_print_the_bytes_of_one_thread(capsys):
     one = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == one
+
+
+def test_thread_count_does_not_change_a_multi_block_run(capsys):
+    """From an empty memo each time, three blocks, the last of one row,
+    print the same bytes with one thread and with three: a present draw
+    the pool shares, a prior column at n* = 10**5 that re-reads the
+    memoized surveys and a pooled column on the memoized prior counts."""
+    args = ["risk", "--model", "example1-uniform100x2", "--estimator", "all",
+            "--method", "sim", "--n", "200", "--nstar", "100000", "--reps", "8193",
+            "--precision", "full"]
+    printed = []
+    for threads in ("1", "3"):
+        montecarlo._memo.clear()
+        assert run(args + ["--threads", threads]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+def test_replications_past_memory_exit_1(capsys):
+    """A replication count too large to allocate once ended in a
+    30-line traceback and a bare MemoryError."""
+    assert run(["risk", "--model", "example2-breast-cancer", "--estimator",
+                "present", "--method", "sim", "--n", "200",
+                "--reps", str(10**15)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DomainError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

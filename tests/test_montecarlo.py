@@ -96,13 +96,12 @@ def test_worker_count_does_not_change_results(executors):
     """Bitwise equality across parallelism, on a fresh draw over several
     scheduling blocks and on a memo hit at a new n*.  The caller is one of
     the workers, so a pool holds one thread fewer than the workers or the
-    blocks.  A fresh draw builds one; a hit builds one only where its
-    first block's prior draw reads the CDF at BLOCK_SIZE / 4 values or
-    more: a table of about 3,500 counts at n* = 10**6, two points per row
-    at n* = 10**7, but not a table of a few dozen at n* = 25."""
+    blocks.  A fresh draw builds one; a hit builds none, whether its prior
+    draw reads a table of a few dozen counts (n* = 25), of about 3,500
+    (n* = 10**6) or two CDF points per row (n* = 10**7)."""
     for reps, n_star, pools in ((3 * BLOCK_SIZE + 123, 25, [[], [1], [3]]),
-                                (BLOCK_SIZE + 100, 10**6, [[], [1, 1], [1, 1]]),
-                                (BLOCK_SIZE + 100, 10**7, [[], [1, 1], [1, 1]])):
+                                (BLOCK_SIZE + 100, 10**6, [[], [1], [1]]),
+                                (BLOCK_SIZE + 100, 10**7, [[], [1], [1]])):
         cfg = SimulationConfig(replications=reps, seed=5)
         results, built = [], []
         for w in (1, 2, 8):
@@ -118,19 +117,19 @@ def test_worker_count_does_not_change_results(executors):
 
 def test_workers_sharing_the_blocks_run_each_once(monkeypatch):
     """The caller and the pool's threads take blocks from one iterator.
-    With 8 workers, more than the cores, a thread switch every
-    microsecond and a hand-off from the middle of the caller's first
-    block, every block runs exactly once and the result is one worker's."""
+    With 8 workers, more than the cores, and a thread switch every
+    microsecond, every block runs exactly once and the result is one
+    worker's, on a shared draw and on the memo hits after it."""
     cfg = SimulationConfig(replications=6 * BLOCK_SIZE, seed=3)
-    n_stars = (10**7, 10**7 + 1, 25)  # a draw, a hand-off, all on the caller
+    n_stars = (10**7, 10**7 + 1, 25)  # a draw, then hits on the caller
     want = [simulate_risk(EstimatorKind.POOLED, UNIFORM_2X2, 25, ns, cfg)
             for ns in n_stars]
     runs = []
     block_losses = montecarlo._block_losses
 
-    def counted(kind, draws, b, n_star, on_cdf=None):
+    def counted(kind, draws, b, n_star):
         runs.append(b)
-        return block_losses(kind, draws, b, n_star, on_cdf)
+        return block_losses(kind, draws, b, n_star)
 
     monkeypatch.setattr(montecarlo, "_block_losses", counted)
     interval = sys.getswitchinterval()
@@ -153,6 +152,15 @@ def test_replications_below_one_block():
     assert r.replications == 37
     assert r.mean_loss > 0.0
     assert r.std_error > 0.0
+
+
+def test_replications_past_memory_raise_domain_error():
+    """A replication count whose loss buffer cannot be allocated is
+    refused by name; it once ended in a bare MemoryError from the memo
+    slot's list of blocks."""
+    cfg = SimulationConfig(replications=10**15)
+    with pytest.raises(DomainError, match=f"^the losses of {10**15} replications"):
+        simulate_risk(EstimatorKind.PRESENT, BREAST_CANCER, 200, None, cfg)
 
 
 def test_common_random_numbers_share_present_draws():
@@ -525,24 +533,20 @@ def test_binom_inverse_matches_binom_ppf_exactly():
 
 def test_bands_up_to_the_cap_take_the_cdf_table(monkeypatch):
     """Every band of at most 256 trial counts in ``_band_grid`` is drawn
-    from the CDF table, and the band one past the cap is not.  The draw
-    reports through ``on_cdf`` the CDF values it computes first: the
-    table's first row, C + R - 1 values, or at most two per row."""
+    from the CDF table, and the band one past the cap is not."""
     tables = []
     cdf_table = montecarlo._cdf_table
 
     def counted(r_lo, R, c_lo, C, q):
-        tables.append((R, C + R - 1))
+        tables.append(R)
         return cdf_table(r_lo, R, c_lo, C, q)
 
     monkeypatch.setattr(montecarlo, "_cdf_table", counted)
     for u, r, q in _band_grid():
         tables.clear()
-        reported = []
-        _binom_inverse(u, _quantiles(u), r, q, reported.append)
+        _binom_inverse(u, _quantiles(u), r, q)
         R = int(np.ptp(r)) + 1
-        assert [trials for trials, _ in tables] == ([R] if R <= 256 else []), (q, R)
-        assert reported == ([width for _, width in tables] or [2 * u.size]), (q, R)
+        assert tables == ([R] if R <= 256 else []), (q, R)
 
 
 def test_cdf_method_equals_binom_cdf_on_the_support():
@@ -932,8 +936,7 @@ def test_memo_hit_equals_a_fresh_draw(present_draws, executors):
     """For each kind and worker count, a call that finds its surveys in
     the memo returns bitwise what a fresh draw returns, and fresh draws
     agree across worker counts.  With workers, the fresh draw of several
-    blocks builds one thread pool and the hit, whose prior draw reads
-    CDF tables of at most a few hundred values, builds none."""
+    blocks builds one thread pool and the hit builds none."""
     cfg = SimulationConfig(replications=MEMO_REPS, seed=23)
     blocks = -(-MEMO_REPS // BLOCK_SIZE)
     for kind in EstimatorKind:

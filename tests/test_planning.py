@@ -394,6 +394,21 @@ def test_analytic_solve_near_the_float_range_keeps_its_answers(kind, n0):
     assert required_sample_size(query, model) == FLOAT_EDGE[kind, n0]
 
 
+@pytest.mark.parametrize("kind, probes", [(RssKind.PRIOR_TO_PRESENT, 566),
+                                          (RssKind.PRESENT_TO_POOLED, 564)])
+def test_analytic_solve_far_past_the_bundled_sizes_keeps_its_probes(
+        monkeypatch, kind, probes):
+    """At n0 = 10**100 (n0* = n0 // 4) float rounding places the fitted
+    root far from the answer in integers, and the gallop from it takes
+    hundreds of probes; taking its free probes from the sizes memoized
+    before it changed none of them."""
+    calls = _recorded_risk_app(monkeypatch)
+    n0 = 10**100
+    required_sample_size(RssQuery(kind=kind, n0=n0, n0_star=n0 // 4),
+                         bundled_model("example2-breast-cancer"))
+    assert len(calls) == probes
+
+
 def test_advise_from_truth_marginals_pathological_point():
     rec = advise_from_marginals(UNIFORM.group_sizes,
                                 derive(UNIFORM).marginals.tolist(), 90, 1000)
